@@ -87,6 +87,29 @@ def _parse_value(raw, where):
     return _parse_rational(raw, where)
 
 
+_JSON_TYPES = {
+    dict: "object",
+    list: "list",
+    bool: "bool",
+    str: "string",
+    int: "number",
+    float: "number",
+}
+
+
+def _typed(doc, key, typ, default, where=None):
+    """doc[key] if it is a JSON value of type typ; default if absent or null."""
+    v = doc.get(key)
+    if v is None:
+        return default
+    if not isinstance(v, typ):
+        raise InstanceError(
+            f"field '{where or key}': expected a JSON {_JSON_TYPES[typ]}, "
+            f"got a JSON {_JSON_TYPES[type(v)]}"
+        )
+    return v
+
+
 @dataclass(frozen=True)
 class Instance:
     space: Space
@@ -111,8 +134,10 @@ def load_instance(path) -> Instance:
     points = doc.get("points")
     if not isinstance(points, list) or not points:
         raise InstanceError("field 'points': expected a nonempty list of strings")
-    metric = doc.get("metric")
+    metric = _typed(doc, "metric", list, None)
     if metric is not None:
+        if not all(isinstance(row, list) for row in metric):
+            raise InstanceError("field 'metric': expected a JSON list of rows")
         metric = [
             [_parse_rational(v, f"metric[{i}][{j}]") for j, v in enumerate(row)]
             for i, row in enumerate(metric)
@@ -131,9 +156,11 @@ def load_instance(path) -> Instance:
         except ValueError as e:
             raise InstanceError(f"{where}: {e}") from None
 
-    functions = {str(k): fun(k, v) for k, v in (doc.get("functions") or {}).items()}
+    functions = {
+        str(k): fun(k, v) for k, v in _typed(doc, "functions", dict, {}).items()
+    }
 
-    cls = doc.get("class") or {"kind": "full"}
+    cls = _typed(doc, "class", dict, {}) or {"kind": "full"}
     kind = cls.get("kind")
     if kind == "full":
         fclass = full_class()
@@ -142,7 +169,7 @@ def load_instance(path) -> Instance:
             raise InstanceError("field 'class': lipschitz requires a metric")
         fclass = lipschitz_cone()
     elif kind == "finite_cone":
-        gens = cls.get("generators") or []
+        gens = _typed(cls, "generators", list, [], "class.generators")
         if not gens:
             raise InstanceError("field 'class': finite_cone needs generators")
         gfuns = []
@@ -153,12 +180,13 @@ def load_instance(path) -> Instance:
             gfuns.append(
                 ExtFun(space, tuple(_parse_rational(v, where) for v in vals))
             )
-        fclass = finite_cone(gfuns, bool(cls.get("affine_closed", True)))
+        affine = _typed(cls, "affine_closed", bool, True, "class.affine_closed")
+        fclass = finite_cone(gfuns, affine)
     else:
         raise InstanceError(f"field 'class.kind': unknown kind {kind!r}")
 
     measures = {}
-    for k, vals in (doc.get("measures") or {}).items():
+    for k, vals in _typed(doc, "measures", dict, {}).items():
         where = f"measures[{k}]"
         if not isinstance(vals, list) or len(vals) != space.n:
             raise InstanceError(f"{where}: expected one weight per point")
@@ -167,7 +195,7 @@ def load_instance(path) -> Instance:
         )
 
     delta_sets = {}
-    for k, vals in (doc.get("delta_sets") or {}).items():
+    for k, vals in _typed(doc, "delta_sets", dict, {}).items():
         where = f"delta_sets[{k}]"
         if not isinstance(vals, list) or len(vals) != space.n:
             raise InstanceError(f"{where}: expected one bound per point")
@@ -175,7 +203,7 @@ def load_instance(path) -> Instance:
             space, tuple(_parse_rational(v, where) for v in vals)
         )
 
-    expect_fail = tuple(doc.get("expect_fail") or ())
+    expect_fail = tuple(_typed(doc, "expect_fail", list, ()))
     for s in expect_fail:
         if s not in SUITES:
             raise InstanceError(f"field 'expect_fail': unknown suite {s!r}")

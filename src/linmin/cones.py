@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ExtFun, Space, constant, indicator
+from .core import ExtFun, Space, check_same_space, constant, indicator
 from .lp import EQ, GE, LE, Infeasible, Optimal, make_lp, solve
 
 FULL = "full"
@@ -34,6 +34,12 @@ class FunctionClass:
         for g in self.generators:
             if not g.is_finite_everywhere():
                 raise ValueError("generators must be finite-valued")
+            check_same_space(self.generators[0].space, g.space, "generators")
+
+    def check_space(self, space: Space) -> None:
+        """A finite cone lives on its generators' space; arguments must share it."""
+        if self.generators:
+            check_same_space(self.generators[0].space, space, "cone and argument")
 
 
 def full_class() -> FunctionClass:
@@ -88,6 +94,7 @@ def contains(Y: FunctionClass, phi: ExtFun) -> Membership:
     metric space is Lipschitz; the certificate is its best constant.
     Finite cone: LP feasibility for nonnegative generator weights.
     """
+    Y.check_space(phi.space)
     if not phi.is_finite_everywhere():
         raise ValueError("membership is only defined for finite-valued functions")
     if Y.kind == FULL:
@@ -112,6 +119,7 @@ def check_property_H(Y: FunctionClass, space: Space, x, U):
 
     Returns the witness ExtFun, or None when the class has no such bump.
     """
+    Y.check_space(space)
     xi = space.index(x)
     U_idx = sorted({space.index(u) for u in U})
     if xi not in U_idx:
@@ -198,6 +206,7 @@ class SeparationReport:
 
 def separates_points(space: Space, Y: FunctionClass) -> SeparationReport:
     """For each pair of distinct points, a function in Y telling them apart."""
+    Y.check_space(space)
     witnesses = []
     failures = []
     for i in range(space.n):

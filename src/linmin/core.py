@@ -173,11 +173,11 @@ class ExtFun:
         return all(is_finite(v) for v in self.values)
 
     def __add__(self, other: "ExtFun") -> "ExtFun":
-        self._same_space(other)
+        check_same_space(self.space, other.space, "functions")
         return ExtFun(self.space, tuple(a + b for a, b in zip(self.values, other.values)))
 
     def __sub__(self, other: "ExtFun") -> "ExtFun":
-        self._same_space(other)
+        check_same_space(self.space, other.space, "functions")
         if not other.is_finite_everywhere():
             raise ValueError("can only subtract a finite-valued function")
         return ExtFun(self.space, tuple(a - b for a, b in zip(self.values, other.values)))
@@ -195,12 +195,14 @@ class ExtFun:
         )
 
     def leq(self, other: "ExtFun") -> bool:
-        self._same_space(other)
+        check_same_space(self.space, other.space, "functions")
         return all(a <= b for a, b in zip(self.values, other.values))
 
-    def _same_space(self, other):
-        if self.space != other.space:
-            raise ValueError("functions live on different spaces")
+
+def check_same_space(a: Space, b: Space, what: str) -> None:
+    """Raise ValueError naming `what` unless the two spaces are the same."""
+    if a != b:
+        raise ValueError(f"{what} live on different spaces ({a.n} and {b.n} points)")
 
 
 def constant(space: Space, c) -> ExtFun:
@@ -246,8 +248,7 @@ def dirac(space: Space, point_id) -> Measure:
 
 def pairing(Q: Measure, phi: ExtFun) -> Fraction:
     """<Q, phi> = sum of weight(x) * phi(x); phi must be finite everywhere."""
-    if Q.space != phi.space:
-        raise ValueError("measure and function live on different spaces")
+    check_same_space(Q.space, phi.space, "measure and function")
     if not phi.is_finite_everywhere():
         raise ValueError("pairing requires a finite-valued function")
     return sum((w * v for w, v in zip(Q.weights, phi.values)), Fraction(0))

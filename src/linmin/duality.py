@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import INF, ExtFun
-from .cones import FINITE_CONE, FULL, LIPSCHITZ, FunctionClass, contains
+from .core import INF, ExtFun, check_same_space
+from .cones import FINITE_CONE, FULL, LIPSCHITZ, FunctionClass, contains, full_class
 from .lp import LE, Infeasible, Optimal, Unbounded, make_lp, solve
 
 
@@ -25,6 +25,7 @@ class ConjugateValue:
 
 def conjugate(f: ExtFun, phi: ExtFun) -> ConjugateValue:
     """f^x(phi) = max over dom(f) of phi(x) - f(x), exact."""
+    check_same_space(f.space, phi.space, "function and argument")
     if not phi.is_finite_everywhere():
         raise ValueError("conjugate requires a finite-valued argument")
     best = None
@@ -55,6 +56,7 @@ def _finite_cone_minorant(f: ExtFun, Y: FunctionClass):
 
 def biconjugate(f: ExtFun, Y: FunctionClass) -> ExtFun:
     """f^xx(x) = sup over phi in Y of phi(x) - f^x(phi), one LP per point."""
+    Y.check_space(f.space)
     _require_metric_if_lipschitz(f, Y)
     n = f.space.n
     dom = f.dom()
@@ -112,6 +114,7 @@ def check_biconjugation(f: ExtFun, Y: FunctionClass) -> BiconjugationReport:
 
 def minorant_envelope(f: ExtFun, Y: FunctionClass) -> ExtFun:
     """sup of phi(x) over phi in Y with phi <= f on dom(f), per point."""
+    Y.check_space(f.space)
     _require_metric_if_lipschitz(f, Y)
     n = f.space.n
     dom = f.dom()
@@ -270,8 +273,6 @@ class InfConvReport:
 
 def check_infconv_theorem(f: ExtFun, g: ExtFun, theta: ExtFun) -> InfConvReport:
     """(f+g)^x = f^x <> g^x at theta, both sides exact."""
-    from .cones import full_class
-
     iv = infconv_eval(f, g, theta, full_class())
     direct = conjugate(f + g, theta).value
     return InfConvReport(iv.value, direct, iv.value == direct, iv.witness)

@@ -3,8 +3,15 @@
 Everything is computed over exact rationals; an Optimal result satisfies
 every constraint with zero tolerance, and an Unbounded result carries a
 certificate ray along which the objective improves without bound.
-Internally the pivoting runs on gmpy2 rationals when available (they are
-much faster than Fraction); the public API speaks Fraction.
+Internally the pivoting runs on gmpy2 rationals when gmpy2 is installed;
+otherwise on Fraction.  The public API speaks Fraction.
+
+The tableau is dense but mostly zero, so the work skips the zeros: a pivot
+divides and subtracts only at the nonzero columns of the pivot row, and
+the phase-1 and phase-2 cost rows are built from the nonzeros of each
+basic row.  The pivot order (Bland's entering rule, the ratio test and its
+tie-break) is the one a dense pivot would take, and every entry is the
+same exact rational, so results do not depend on the skipping.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as _q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # no gmpy2: the Fraction fallback runs, with identical results
     _q = Fraction
 
 LE = "<="
@@ -84,16 +91,22 @@ def make_lp(objective, constraints, maximize=True, nonneg=None, variables=None):
     )
 
 
+def _nonzeros(row):
+    return [(j, v) for j, v in enumerate(row) if v]
+
+
 def _pivot(T, basis, row, col):
-    piv = T[row][col]
-    prow = [v / piv for v in T[row]]
-    T[row] = prow
-    for i in range(len(T)):
+    prow = T[row]
+    piv = prow[col]
+    nz = [(j, v / piv) for j, v in _nonzeros(prow)]
+    for j, v in nz:
+        prow[j] = v
+    for i, Ti in enumerate(T):
         if i != row:
-            f = T[i][col]
+            f = Ti[col]
             if f:
-                Ti = T[i]
-                T[i] = [a - f * b for a, b in zip(Ti, prow)]
+                for j, b in nz:
+                    Ti[j] -= f * b
     basis[row] = col
 
 
@@ -138,9 +151,13 @@ def solve(lp: LinearProgram):
     zero = _q(0)
 
     def to_y(coeffs):
-        row = [_q(v) for v in coeffs]
+        row = [_q(v) if v else zero for v in coeffs]
         if has_free:
-            row.append(-sum((row[k] for k in free), zero))
+            neg = zero
+            for k in free:
+                if row[k]:
+                    neg -= row[k]
+            row.append(neg)
         return row
 
     obj = to_y(lp.objective)
@@ -192,8 +209,8 @@ def solve(lp: LinearProgram):
             cost[j] = _q(1)
         for i in range(m):
             if basis[i] >= nstruct + nslack:
-                Ti = T[i]
-                cost = [cv - tv for cv, tv in zip(cost, Ti)]
+                for j, v in _nonzeros(T[i]):
+                    cost[j] -= v
         T.append(cost)
         _iterate(T, basis, m, nonart)     # phase-1 objective is bounded below
         if T[m][N] != 0:
@@ -217,8 +234,8 @@ def solve(lp: LinearProgram):
     for i in range(m):
         cb = corig[basis[i]]
         if cb:
-            Ti = T[i]
-            cost = [cv - cb * tv for cv, tv in zip(cost, Ti)]
+            for j, v in _nonzeros(T[i]):
+                cost[j] -= cb * v
     T.append(cost)
 
     enter = _iterate(T, basis, m, nonart)

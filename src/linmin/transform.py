@@ -18,10 +18,13 @@ from .core import (
     ExtFun,
     Measure,
     Space,
+    check_same_space,
+    constant,
     dirac,
     in_simplex,
     is_finite,
     pairing,
+    rat,
 )
 from .cones import FINITE_CONE, FunctionClass, full_class
 from .lp import EQ, LE, Optimal, Unbounded, make_lp, solve
@@ -35,8 +38,6 @@ class DeltaSet:
     bounds: tuple
 
     def __post_init__(self):
-        from .core import rat
-
         b = tuple(rat(v) for v in self.bounds)
         if len(b) != self.space.n:
             raise ValueError("one bound per point required")
@@ -59,8 +60,8 @@ def fenchel_transform(f: ExtFun, Y: FunctionClass, Q: Measure) -> TransformValue
     Unbounded means the value +inf; the certificate ray is a direction in
     the LP variables along which the objective grows without bound.
     """
-    if Q.space != f.space:
-        raise ValueError("measure and function live on different spaces")
+    check_same_space(Q.space, f.space, "measure and function")
+    Y.check_space(f.space)
     n = f.space.n
     dom = f.dom()
     if Y.kind == FINITE_CONE:
@@ -128,8 +129,7 @@ def function_to_delta_set(f: ExtFun) -> DeltaSet:
 
 def support_function(A: DeltaSet, Q: Measure) -> TransformValue:
     """sup of <Q, phi> over phi with phi(x) <= bound(x), by LP."""
-    if Q.space != A.space:
-        raise ValueError("measure and delta set live on different spaces")
+    check_same_space(Q.space, A.space, "measure and delta set")
     n = A.space.n
     constraints = []
     for x in range(n):
@@ -180,8 +180,6 @@ def _fmt(v) -> str:
 
 def check_constant_transform(space: Space, c, sample, Y=None) -> CheckReport:
     """F(c) is c on the simplex and +inf outside it."""
-    from .core import constant, rat
-
     Y = Y if Y is not None else full_class()
     cf = constant(space, rat(c))
     items = []
@@ -233,8 +231,6 @@ def check_translation(f: ExtFun, phi: ExtFun, sample, Y=None) -> CheckReport:
 
 def check_cone_morphism(f: ExtFun, g: ExtFun, alpha, beta, sample) -> CheckReport:
     """T(a f + b g) = a T(f) + b T(g) at sampled simplex measures."""
-    from .core import rat
-
     a, b = rat(alpha), rat(beta)
     if a < 0 or b < 0:
         raise ValueError("cone combinations need nonnegative coefficients")
@@ -369,13 +365,10 @@ class LiftedMinimizersReport:
 
 def minimizing_sequence_lift(f: ExtFun, eps) -> LiftedMinimizersReport:
     """Every eps-minimizer of f gives an eps-minimizer of the lift at its Dirac."""
-    from .core import rat
-
     e = rat(eps)
     if e < 0:
         raise ValueError("eps must be nonnegative")
     mr = minimize_equivalence(f)
-    Tf_vals = {}
     space = f.space
     Y = full_class()
     pts = []
@@ -385,7 +378,6 @@ def minimizing_sequence_lift(f: ExtFun, eps) -> LiftedMinimizersReport:
             p = space.point_ids[i]
             pts.append(p)
             v = fenchel_transform(f, Y, dirac(space, p)).value
-            Tf_vals[p] = v
             if not (is_finite(v) and v <= mr.lift_min + e):
                 ok = False
     return LiftedMinimizersReport(tuple(pts), ok, mr.inf_value, mr.lift_min)

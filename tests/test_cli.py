@@ -239,3 +239,34 @@ class TestMain:
     def test_eval_bad_expression(self, capsys):
         assert main(["eval", TWO_POINT, "frob(f)"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def assert_bad_input(self, tmp_path, capsys, doc, field):
+        path = write(tmp_path, doc)
+        for argv in (["validate", path], ["check", path]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert f"error: field '{field}': expected a JSON " in captured.err
+            assert "Traceback" not in captured.err + captured.out
+
+    def test_class_must_be_an_object(self, tmp_path, capsys):
+        doc = dict(BASE, **{"class": "full"})
+        self.assert_bad_input(tmp_path, capsys, doc, "class")
+
+    def test_affine_closed_must_be_a_bool(self, tmp_path, capsys):
+        cls = {"kind": "finite_cone", "generators": [["0", "1"]]}
+        doc = dict(BASE, **{"class": dict(cls, affine_closed="false")})
+        self.assert_bad_input(tmp_path, capsys, doc, "class.affine_closed")
+
+    def test_expect_fail_must_be_a_list(self, tmp_path, capsys):
+        doc = dict(BASE, expect_fail="minimize")
+        self.assert_bad_input(tmp_path, capsys, doc, "expect_fail")
+
+    def test_sections_and_metric_must_have_their_json_types(self, tmp_path, capsys):
+        for key, value in [
+            ("functions", [["0", "1"]]),
+            ("measures", "Q"),
+            ("delta_sets", 3),
+            ("metric", 3),
+            ("metric", ["0", "1"]),
+        ]:
+            self.assert_bad_input(tmp_path, capsys, dict(BASE, **{key: value}), key)

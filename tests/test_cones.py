@@ -41,6 +41,19 @@ def test_lipschitz_contains_with_best_constant(ab):
     assert m.member and m.certificate == 3
 
 
+def test_membership_rejects_mismatched_spaces(ab, skew_cone):
+    abc = Space(("a", "b", "c"))
+    for phi in (ExtFun(abc, (0, 1, 2)), ExtFun(Space(("x",)), (0,))):
+        with pytest.raises(ValueError, match="different spaces"):
+            contains(skew_cone, phi)
+    with pytest.raises(ValueError, match="different spaces"):
+        finite_cone([ExtFun(ab, (0, 1)), ExtFun(abc, (0, 1, 2))])
+    with pytest.raises(ValueError, match="different spaces"):
+        check_property_H(skew_cone, abc, "c", ["c"])
+    with pytest.raises(ValueError, match="different spaces"):
+        separates_points(abc, skew_cone)
+
+
 def test_lipschitz_needs_metric():
     s = Space(("a", "b"))
     with pytest.raises(ValueError, match="metric"):

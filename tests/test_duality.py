@@ -65,6 +65,18 @@ class TestConjugate:
         cv = conjugate(ExtFun(ab, (1, 1)), ExtFun(ab, (0, 0)))
         assert cv.maximizer == "a"
 
+    def test_rejects_mismatched_spaces(self, ab):
+        abc = Space(("a", "b", "c"))
+        f, phi = ExtFun(ab, (0, 1)), ExtFun(abc, (5, 0, 0))
+        with pytest.raises(ValueError, match="different spaces"):
+            conjugate(f, phi)
+        with pytest.raises(ValueError, match="different spaces"):
+            conjugate(phi, f)
+        cone = finite_cone([f])
+        for build in (biconjugate, minorant_envelope):
+            with pytest.raises(ValueError, match="different spaces"):
+                build(phi, cone)
+
     def test_rejects_extended_argument(self, ab):
         with pytest.raises(ValueError):
             conjugate(ExtFun(ab, (0, 1)), ExtFun(ab, (0, INF)))

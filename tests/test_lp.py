@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from linmin.lp import (
     EQ,
@@ -160,3 +161,193 @@ def test_unbounded_rays_are_certificates():
             assert is_valid_ray(lp, res.ray)
             found += 1
     assert found > 10
+
+
+# --- zero-heavy, degenerate and redundant programs against brute force -----
+
+# Coefficients are halves with numerators in [-3, 3], right-hand sides halves
+# in [-4, 4], and there are at most three variables.  Doubled, every row is
+# integral, so by Cramer's rule every basic point has coordinates of at most
+# 3! * 6 * 6 * 8 = 1728.  A box of half-width BOX around the origin therefore
+# keeps a feasible point and an optimal one whenever the program has them:
+# the boxed program is feasible iff the program is, an Unbounded result is
+# certified by its ray on a feasible program, and an Optimal value must equal
+# the boxed optimum, which brute force finds.
+BOX = 10_000
+halves = st.sampled_from([1, 2])
+sparse_coeff = st.one_of(
+    st.just(F(0)), st.just(F(0)), st.builds(F, st.integers(-3, 3), halves)
+)
+small_rhs = st.one_of(st.just(F(0)), st.builds(F, st.integers(-4, 4), halves))
+
+
+@st.composite
+def sparse_programs(draw):
+    n = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = tuple(draw(sparse_coeff) for _ in range(n))
+        rel = draw(st.sampled_from([LE, GE, EQ]))
+        rhs = draw(small_rhs)
+        rows.append((coeffs, rel, rhs))
+        if rel == EQ and draw(st.booleans()):
+            k = draw(st.sampled_from([F(-1), F(2), F(1, 2)]))
+            rows.append((tuple(k * c for c in coeffs), EQ, k * rhs))
+    return make_lp(
+        tuple(draw(sparse_coeff) for _ in range(n)),
+        rows,
+        maximize=draw(st.booleans()),
+        nonneg=[draw(st.booleans()) for _ in range(n)],
+    )
+
+
+def boxed(lp):
+    n = len(lp.variables)
+    box = []
+    for k in range(n):
+        unit = tuple(F(int(j == k)) for j in range(n))
+        box += [(unit, LE, F(BOX)), (unit, GE, F(-BOX))]
+    return make_lp(lp.objective, lp.constraints + tuple(box), lp.maximize, lp.nonneg)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(sparse_programs())
+def test_sparse_degenerate_programs_match_brute_force(lp):
+    res = solve(lp)
+    expected, _ = brute_force_optimum(boxed(lp))
+    if expected is None:
+        assert isinstance(res, Infeasible)
+    elif isinstance(res, Unbounded):
+        assert is_valid_ray(lp, res.ray)
+    else:
+        assert isinstance(res, Optimal)
+        assert res.value == expected
+        assert constraint_violation(lp, res.point) == 0
+        assert sum(F(c) * p for c, p in zip(lp.objective, res.point)) == res.value
+
+
+# --- fixed programs whose exact results are pinned -------------------------
+
+# f on 12 points, None marking +inf; the rows phi(y) - s <= f(y) over dom(f)
+# are the feasible set of the full-class biconjugate and transform LPs.
+PINNED_F = [
+    F(3, 2), F(-1), None, F(7, 3), F(0), F(5), None, F(-2, 3), F(4), F(1, 5), None, F(2)
+]
+PINNED_GENS = [
+    [F(1), F(0), F(2), F(-1), F(3, 2), F(0)],
+    [F(0), F(1), F(-1), F(2), F(0), F(1, 2)],
+    [F(2), F(1), F(0), F(0), F(-1), F(1)],
+    [F(-1, 2), F(3), F(1), F(1), F(0), F(-2)],
+    [F(1)] * 6,
+    [F(-1)] * 6,
+]
+
+
+def _full_class_lp(objective):
+    n = len(PINNED_F)
+    rows = []
+    for y, v in enumerate(PINNED_F):
+        if v is not None:
+            row = [0] * (n + 1)
+            row[y], row[n] = 1, -1
+            rows.append((tuple(row), LE, v))
+    return make_lp(tuple(objective), rows, maximize=True)
+
+
+def _biconjugate_lp(x):
+    objective = [0] * (len(PINNED_F) + 1)
+    objective[x], objective[-1] = 1, -1
+    return _full_class_lp(objective)
+
+
+def _membership_lp(phi):
+    k = len(PINNED_GENS)
+    rows = [(tuple(g[x] for g in PINNED_GENS), EQ, phi[x]) for x in range(6)]
+    return make_lp([0] * k, rows, maximize=False, nonneg=[True] * k)
+
+
+def _bump_lp(xi, U):
+    k = len(PINNED_GENS)
+    cols = [tuple(g[i] for g in PINNED_GENS) for i in range(6)]
+    rows = [(cols[xi], EQ, 1)]
+    rows += [(cols[i], EQ, 0) for i in range(6) if i not in U]
+    for i in U:
+        rows += [(cols[i], GE, 0), (cols[i], LE, 1)]
+    return make_lp([0] * k, rows, maximize=False, nonneg=[True] * k)
+
+
+def _e(n, *ones):
+    return tuple(F(int(j in ones)) for j in range(n))
+
+
+PINNED = [
+    (
+        "biconjugate at a point of dom f",
+        _biconjugate_lp(3),
+        Optimal(F(7, 3), (0, 0, 0, F(10, 3), 0, 0, 0, F(1, 3), 0, 0, 0, 0, 1)),
+    ),
+    ("biconjugate off dom f", _biconjugate_lp(6), Unbounded(_e(13, 6))),
+    (
+        "transform at a measure off the simplex",
+        _full_class_lp(
+            (F(1, 2), F(1, 3), 0, F(1, 4), 0, 0, F(1, 6), 0, F(-1, 8), 0, 0, F(1, 5))
+            + (-1,)
+        ),
+        Unbounded(_e(13, 0, 1, 3, 7, 12)),
+    ),
+    (
+        "finite-cone member",
+        _membership_lp(
+            [F(-11, 12), F(7, 4), F(-23, 12), F(31, 12), F(-1, 2), F(-11, 12)]
+        ),
+        Optimal(F(0), (F(1, 2), F(2), 0, F(1, 3), 0, F(5, 4))),
+    ),
+    (
+        "finite-cone non-member",
+        _membership_lp([F(1), F(-2), F(0), F(3), F(1, 2), F(-1)]),
+        Infeasible(),
+    ),
+    ("finite-cone bump, none exists", _bump_lp(0, [0, 2, 4]), Infeasible()),
+    (
+        "finite-cone bump",
+        _bump_lp(3, [3, 1, 5, 0]),
+        Optimal(F(0), (0, F(1, 3), F(1, 3), 0, F(1, 3), 0)),
+    ),
+    # ratio-test ties: the tie-break decides which optimal vertex or ray comes out
+    (
+        "degenerate, tied ratios, optimal",
+        make_lp(
+            [1, 2, 2, 1],
+            [((-2, 1, 1, 3), GE, 2), ((-1, 1, 3, -2), EQ, 2), ((1, 3, 3, 2), LE, 2)],
+            maximize=True,
+            nonneg=[False, True, True, True],
+        ),
+        Optimal(F(8, 7), (F(-4, 7), F(4, 7), F(2, 7), 0)),
+    ),
+    (
+        "degenerate, tied ratios, unbounded",
+        make_lp(
+            [0, 0, 1, 3],
+            [((1, 0, 2, 0), GE, 2), ((1, 1, 1, 3), LE, 1)],
+            maximize=True,
+            nonneg=[False, True, False, True],
+        ),
+        Unbounded((-2, 1, 1, 0)),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "lp, expected", [p[1:] for p in PINNED], ids=[p[0] for p in PINNED]
+)
+def test_pinned_results(lp, expected):
+    res = solve(lp)
+    assert res == expected
+    for v in getattr(res, "point", ()) + getattr(res, "ray", ()):
+        assert type(v) is F
