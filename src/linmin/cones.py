@@ -37,9 +37,12 @@ class FunctionClass:
             check_same_space(self.generators[0].space, g.space, "generators")
 
     def check_space(self, space: Space) -> None:
-        """A finite cone lives on its generators' space; arguments must share it."""
+        """A finite cone lives on its generators' space, which arguments must
+        share; the Lipschitz cone needs a metric on the space."""
         if self.generators:
             check_same_space(self.generators[0].space, space, "cone and argument")
+        if self.kind == LIPSCHITZ and space.metric is None:
+            raise ValueError("Lipschitz cone requires a metric on the space")
 
 
 def full_class() -> FunctionClass:
@@ -76,8 +79,6 @@ class Membership:
 
 
 def best_lipschitz_constant(space: Space, phi: ExtFun) -> Fraction:
-    if space.metric is None:
-        raise ValueError("Lipschitz cone requires a metric on the space")
     best = Fraction(0)
     for i in range(space.n):
         for j in range(i + 1, space.n):
@@ -130,8 +131,6 @@ def check_property_H(Y: FunctionClass, space: Space, x, U):
         return indicator(space, x)
 
     if Y.kind == LIPSCHITZ:
-        if space.metric is None:
-            raise ValueError("Lipschitz cone requires a metric on the space")
         if not outside:
             return constant(space, 1)
         r = min(space.dist(xi, i) for i in outside)
@@ -215,8 +214,6 @@ def separates_points(space: Space, Y: FunctionClass) -> SeparationReport:
             if Y.kind == FULL:
                 witnesses.append((x, y, indicator(space, x)))
             elif Y.kind == LIPSCHITZ:
-                if space.metric is None:
-                    raise ValueError("Lipschitz cone requires a metric on the space")
                 phi = ExtFun(space, tuple(space.dist(i, k) for k in range(space.n)))
                 witnesses.append((x, y, phi))
             else:

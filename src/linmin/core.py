@@ -8,6 +8,7 @@ subset is open and every function is continuous.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,10 +68,14 @@ def is_finite(v) -> bool:
     return not isinstance(v, PosInf)
 
 
+_RATIONAL = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
+
+
 def rat(v) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to an exact rational.
 
-    Floats are rejected: no floating point may enter an identity check.
+    Floats are rejected: no floating point may enter an identity check,
+    nor may decimal or exponent strings such as '0.1' or '1e-2'.
     """
     if isinstance(v, Fraction):
         return v
@@ -79,6 +84,8 @@ def rat(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
+        if not _RATIONAL.fullmatch(v):
+            raise ValueError(f"not an exact rational string like '1/2': {v!r}")
         return Fraction(v)
     raise TypeError(f"not an exact rational: {v!r}")
 

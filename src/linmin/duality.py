@@ -1,10 +1,11 @@
 """Conjugacy relative to a function class, and inf-convolution duality.
 
 The conjugate f^x(phi) = sup_x {phi(x) - f(x)} is an exact scan over the
-domain.  Suprema over the full class are one LP variable per point;
-suprema over a finite cone are LPs in the generator coefficients.  On a
-finite metric space every function is Lipschitz, so the Lipschitz cone
-and the full class define the same feasible sets.
+domain.  On a finite metric space every function is Lipschitz, so the
+Lipschitz cone and the full class define the same feasible sets; both
+have bump functions at every point (property (H)), which gives the closed
+forms f^xx = f and minorant envelope = f.  Suprema over a finite cone are
+LPs in the generator coefficients.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import INF, ExtFun, check_same_space
-from .cones import FINITE_CONE, FULL, LIPSCHITZ, FunctionClass, contains, full_class
+from .cones import FINITE_CONE, FULL, FunctionClass, contains, full_class
 from .lp import LE, Infeasible, Optimal, Unbounded, make_lp, solve
 
 
@@ -38,11 +39,6 @@ def conjugate(f: ExtFun, phi: ExtFun) -> ConjugateValue:
     return ConjugateValue(best, f.space.point_ids[where])
 
 
-def _require_metric_if_lipschitz(f: ExtFun, Y: FunctionClass):
-    if Y.kind == LIPSCHITZ and f.space.metric is None:
-        raise ValueError("Lipschitz cone requires a metric on the space")
-
-
 def _finite_cone_minorant(f: ExtFun, Y: FunctionClass):
     """A nonnegative combination of generators lying below f, or None."""
     gens = Y.generators
@@ -55,42 +51,25 @@ def _finite_cone_minorant(f: ExtFun, Y: FunctionClass):
 
 
 def biconjugate(f: ExtFun, Y: FunctionClass) -> ExtFun:
-    """f^xx(x) = sup over phi in Y of phi(x) - f^x(phi), one LP per point."""
+    """f^xx(x) = sup over phi in Y of phi(x) - f^x(phi): f itself under
+    property (H) (the full class, the Lipschitz cone), else one LP per point."""
     Y.check_space(f.space)
-    _require_metric_if_lipschitz(f, Y)
-    n = f.space.n
-    dom = f.dom()
-    if Y.kind == FINITE_CONE:
-        if _finite_cone_minorant(f, Y) is None:
-            raise ValueError("the cone contains no minorant of f")
-        gens = Y.generators
-        k = len(gens)
-        # variables: generator weights lam >= 0, then s modelling f^x(phi)
-        base = [
-            (tuple(g.values[y] for g in gens) + (-1,), LE, f.values[y])
-            for y in dom
-        ]
-        nonneg = [True] * k + [False]
-        out = []
-        for x in range(n):
-            objective = tuple(g.values[x] for g in gens) + (-1,)
-            res = solve(make_lp(objective, base, maximize=True, nonneg=nonneg))
-            out.append(INF if isinstance(res, Unbounded) else res.value)
-        return ExtFun(f.space, tuple(out))
-
-    # full class / Lipschitz cone: variables phi(point) free, plus s
-    base = []
-    for y in dom:
-        row = [0] * (n + 1)
-        row[y] = 1
-        row[n] = -1
-        base.append((tuple(row), LE, f.values[y]))
+    if Y.kind != FINITE_CONE:
+        return f
+    if _finite_cone_minorant(f, Y) is None:
+        raise ValueError("the cone contains no minorant of f")
+    gens = Y.generators
+    k = len(gens)
+    # variables: generator weights lam >= 0, then s modelling f^x(phi)
+    base = [
+        (tuple(g.values[y] for g in gens) + (-1,), LE, f.values[y])
+        for y in f.dom()
+    ]
+    nonneg = [True] * k + [False]
     out = []
-    for x in range(n):
-        objective = [0] * (n + 1)
-        objective[x] = 1
-        objective[n] = -1
-        res = solve(make_lp(tuple(objective), base, maximize=True))
+    for x in range(f.space.n):
+        objective = tuple(g.values[x] for g in gens) + (-1,)
+        res = solve(make_lp(objective, base, maximize=True, nonneg=nonneg))
         out.append(INF if isinstance(res, Unbounded) else res.value)
     return ExtFun(f.space, tuple(out))
 
@@ -113,37 +92,23 @@ def check_biconjugation(f: ExtFun, Y: FunctionClass) -> BiconjugationReport:
 
 
 def minorant_envelope(f: ExtFun, Y: FunctionClass) -> ExtFun:
-    """sup of phi(x) over phi in Y with phi <= f on dom(f), per point."""
+    """sup of phi(x) over phi in Y with phi <= f on dom(f), per point: f
+    under property (H) (+inf off dom(f)), else one LP per point."""
     Y.check_space(f.space)
-    _require_metric_if_lipschitz(f, Y)
-    n = f.space.n
-    dom = f.dom()
-    if Y.kind == FINITE_CONE:
-        gens = Y.generators
-        k = len(gens)
-        constraints = [
-            (tuple(g.values[y] for g in gens), LE, f.values[y]) for y in dom
-        ]
-        nonneg = [True] * k
-        out = []
-        for x in range(n):
-            objective = tuple(g.values[x] for g in gens)
-            res = solve(make_lp(objective, constraints, maximize=True, nonneg=nonneg))
-            if isinstance(res, Infeasible):
-                raise ValueError("the cone contains no minorant of f")
-            out.append(INF if isinstance(res, Unbounded) else res.value)
-        return ExtFun(f.space, tuple(out))
-
-    constraints = []
-    for y in dom:
-        row = [0] * n
-        row[y] = 1
-        constraints.append((tuple(row), LE, f.values[y]))
+    if Y.kind != FINITE_CONE:
+        return f
+    gens = Y.generators
+    k = len(gens)
+    constraints = [
+        (tuple(g.values[y] for g in gens), LE, f.values[y]) for y in f.dom()
+    ]
+    nonneg = [True] * k
     out = []
-    for x in range(n):
-        objective = [0] * n
-        objective[x] = 1
-        res = solve(make_lp(tuple(objective), constraints, maximize=True))
+    for x in range(f.space.n):
+        objective = tuple(g.values[x] for g in gens)
+        res = solve(make_lp(objective, constraints, maximize=True, nonneg=nonneg))
+        if isinstance(res, Infeasible):
+            raise ValueError("the cone contains no minorant of f")
         out.append(INF if isinstance(res, Unbounded) else res.value)
     return ExtFun(f.space, tuple(out))
 
@@ -163,9 +128,8 @@ def insert_between(u: ExtFun, v: ExtFun, Y: FunctionClass) -> ExtFun:
         return u
     if Y.kind == FINITE_CONE:
         raise ValueError("insertion is not supported for finitely generated cones")
+    Y.check_space(u.space)
     space = u.space
-    if space.metric is None:
-        raise ValueError("Lipschitz cone requires a metric on the space")
     domv = v.dom()
     if not domv:  # unreachable: ExtFun guarantees a finite value
         return u

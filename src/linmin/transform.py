@@ -4,7 +4,9 @@ A bounded-below function f on a finite space lifts to a convex function on
 the probability simplex over the points (the Dirac masses are the
 vertices).  The lift extends f, is linear in the measure for real-valued
 functions, preserves infima and argmins, and is +inf outside the simplex
-with an explicit unbounded-ray certificate.
+with an explicit unbounded-ray certificate.  Over the full class or the
+Lipschitz cone, and for delta sets, these are closed forms; a finite cone
+takes an LP.
 """
 
 from __future__ import annotations
@@ -54,37 +56,51 @@ class TransformValue:
         return is_finite(self.value)
 
 
-def fenchel_transform(f: ExtFun, Y: FunctionClass, Q: Measure) -> TransformValue:
-    """F(f)(Q) = sup over phi in Y of <Q, phi> - f^x(phi), by LP.
+def _linear_sup(Q: Measure, vals: tuple, shift: bool) -> TransformValue:
+    """sup of <Q, phi> - s over phi - s <= vals (or of <Q, phi> over
+    phi <= vals without shift); a +inf value bounds nothing.  A +inf sup
+    carries a ray in (phi; s), or phi alone: (-e_x; 0) at the first x with
+    Q(x) < 0, else (e_x; 0) at the first x with Q(x) > 0 and vals(x) +inf,
+    else (1,...,1; 1) when the mass of Q is above 1, (-1,...,-1; -1) below.
+    """
+    w = Q.weights
+    ray = [Fraction(0)] * (len(w) + shift)
+    neg = next((i for i, q in enumerate(w) if q < 0), None)
+    off = next((i for i, q in enumerate(w) if q > 0 and not is_finite(vals[i])), None)
+    if neg is not None:
+        ray[neg] = Fraction(-1)
+    elif off is not None:
+        ray[off] = Fraction(1)
+    elif shift and Q.total() != 1:
+        ray = [Fraction(1 if Q.total() > 1 else -1)] * len(ray)
+    else:
+        return TransformValue(sum((q * v for q, v in zip(w, vals) if q), Fraction(0)))
+    return TransformValue(INF, tuple(ray))
 
-    Unbounded means the value +inf; the certificate ray is a direction in
-    the LP variables along which the objective grows without bound.
+
+def fenchel_transform(f: ExtFun, Y: FunctionClass, Q: Measure) -> TransformValue:
+    """F(f)(Q) = sup over phi in Y of <Q, phi> - f^x(phi).
+
+    Under property (H) (the full class and the Lipschitz cone) this is
+    <Q, f> for Q in the simplex supported on dom(f), else +inf; a finite
+    cone takes one LP in the generator weights.  The ray certifying +inf
+    is a direction in the variables (phi, s), or (weights, s) for a
+    finite cone, along which the objective grows without bound.
     """
     check_same_space(Q.space, f.space, "measure and function")
     Y.check_space(f.space)
-    n = f.space.n
-    dom = f.dom()
-    if Y.kind == FINITE_CONE:
-        gens = Y.generators
-        k = len(gens)
-        # variables: generator weights lam >= 0, then s >= phi - f pointwise
-        constraints = [
-            (tuple(g.values[y] for g in gens) + (-1,), LE, f.values[y])
-            for y in dom
-        ]
-        objective = tuple(pairing(Q, g) for g in gens) + (Fraction(-1),)
-        nonneg = [True] * k + [False]
-        res = solve(make_lp(objective, constraints, maximize=True, nonneg=nonneg))
-    else:
-        # variables: phi(point) per point, then s
-        constraints = []
-        for y in dom:
-            row = [0] * (n + 1)
-            row[y] = 1
-            row[n] = -1
-            constraints.append((tuple(row), LE, f.values[y]))
-        objective = tuple(Q.weights) + (Fraction(-1),)
-        res = solve(make_lp(objective, constraints, maximize=True))
+    if Y.kind != FINITE_CONE:
+        return _linear_sup(Q, f.values, shift=True)
+    gens = Y.generators
+    k = len(gens)
+    # variables: generator weights lam >= 0, then s >= phi - f pointwise
+    constraints = [
+        (tuple(g.values[y] for g in gens) + (-1,), LE, f.values[y])
+        for y in f.dom()
+    ]
+    objective = tuple(pairing(Q, g) for g in gens) + (Fraction(-1),)
+    nonneg = [True] * k + [False]
+    res = solve(make_lp(objective, constraints, maximize=True, nonneg=nonneg))
     if isinstance(res, Unbounded):
         return TransformValue(INF, res.ray)
     assert isinstance(res, Optimal)
@@ -92,23 +108,18 @@ def fenchel_transform(f: ExtFun, Y: FunctionClass, Q: Measure) -> TransformValue
 
 
 class TransformedFunction:
-    """The lift T(f): evaluable at simplex measures, cached per measure."""
+    """The lift T(f): evaluable at simplex measures."""
 
     def __init__(self, source: ExtFun, fclass: FunctionClass):
         if not source.is_finite_everywhere():
             raise ValueError("the lift is defined for finite-valued functions")
         self.source = source
         self.fclass = fclass
-        self._cache: dict = {}
 
     def __call__(self, Q: Measure) -> Fraction:
         if not in_simplex(Q):
             raise ValueError("evaluation outside the probability simplex")
-        v = self._cache.get(Q)
-        if v is None:
-            v = fenchel_transform(self.source, self.fclass, Q).value
-            self._cache[Q] = v
-        return v
+        return fenchel_transform(self.source, self.fclass, Q).value
 
 
 def transform_T(f: ExtFun, Y: FunctionClass | None = None) -> TransformedFunction:
@@ -128,19 +139,10 @@ def function_to_delta_set(f: ExtFun) -> DeltaSet:
 
 
 def support_function(A: DeltaSet, Q: Measure) -> TransformValue:
-    """sup of <Q, phi> over phi with phi(x) <= bound(x), by LP."""
+    """sup of <Q, phi> over phi with phi(x) <= bound(x): <Q, bounds> when
+    Q >= 0, else +inf with the ray -e_x at the first x where Q(x) < 0."""
     check_same_space(Q.space, A.space, "measure and delta set")
-    n = A.space.n
-    constraints = []
-    for x in range(n):
-        row = [0] * n
-        row[x] = 1
-        constraints.append((tuple(row), LE, A.bounds[x]))
-    res = solve(make_lp(tuple(Q.weights), constraints, maximize=True))
-    if isinstance(res, Unbounded):
-        return TransformValue(INF, res.ray)
-    assert isinstance(res, Optimal)
-    return TransformValue(res.value)
+    return _linear_sup(Q, A.bounds, shift=False)
 
 
 @dataclass(frozen=True)
@@ -202,7 +204,7 @@ def check_constant_transform(space: Space, c, sample, Y=None) -> CheckReport:
 
 
 def check_translation(f: ExtFun, phi: ExtFun, sample, Y=None) -> CheckReport:
-    """F(f - phi) = F(f) - <., phi> on the simplex."""
+    """F(f - phi) = F(f) - <., phi> on the simplex, for phi in Y and -Y."""
     Y = Y if Y is not None else full_class()
     items = []
     for Q in sample:

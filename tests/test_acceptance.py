@@ -18,6 +18,7 @@ from linmin import (
     GridSpec,
     Measure,
     Space,
+    biconjugate,
     check_biconjugation,
     check_cone_morphism,
     check_infconv_theorem,
@@ -25,6 +26,7 @@ from linmin import (
     check_property_H_all,
     conjugate,
     contains,
+    dirac,
     fenchel_transform,
     finite_cone,
     full_class,
@@ -32,12 +34,14 @@ from linmin import (
     delta_set_to_function,
     grid_inf_convolution,
     grid_sup_conjugate_transform,
+    indicator,
     infconv_eval,
     insert_between,
     lipschitz_cone,
     minimax_identity_check,
     minimize_equivalence,
     minimizing_sequence_lift,
+    minorant_envelope,
     pairing,
     sample_simplex_measures,
     sum_decompose,
@@ -45,6 +49,7 @@ from linmin import (
     vertex_enumerate_min,
     zero,
 )
+from linmin.lp import LE, make_lp, solve
 from helpers import rand_finite_fun, rand_ext_fun, rand_outside_measure, rand_space
 
 _oracle_state = {"ran": False, "elapsed": None, "mismatches": None}
@@ -206,6 +211,31 @@ def _run_oracle_concordance():
     )
     check("eps minimizers", minimizing_sequence_lift(feps, F(1, 10)).eps_minimizers, scan)
     check("eps scan", scan, ("x1", "x2"))
+
+    # closed forms under (H) against the LP on the cone spanned by the
+    # indicators and their negatives, which holds every function
+    pm = finite_cone(
+        [indicator(abm, p).scale(c) for p in abm.point_ids for c in (1, -1)],
+        affine_closed=False,
+    )
+    measures = (
+        Measure(abm, (F(1, 2), F(1, 2))),
+        dirac(abm, "b"),
+        Measure(abm, (2, -1)),
+        Measure(abm, (1, 1)),
+    )
+    for f in (ExtFun(abm, (0, 1)), ExtFun(abm, (0, INF))):
+        for Y in (full_class(), lipschitz_cone()):
+            check("biconjugate closed form", biconjugate(f, Y).values, biconjugate(f, pm).values)
+            check("envelope closed form", minorant_envelope(f, Y).values, minorant_envelope(f, pm).values)
+            for Q in measures:
+                check(
+                    f"transform closed form at {Q.weights}",
+                    fenchel_transform(f, Y, Q).value,
+                    fenchel_transform(f, pm, Q).value,
+                )
+    support_lp = make_lp(half.weights, [((1, 0), LE, 1), ((0, 1), LE, 2)])
+    check("support function closed form", support_function(A, half).value, solve(support_lp).value)
 
     return bad
 

@@ -1,14 +1,18 @@
 """Instance loading, suite reports, exit codes, and the eval subcommand."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from linmin.cli import (
     InstanceError,
     Report,
     ReportLine,
+    SUITES,
     eval_expression,
     load_instance,
     main,
@@ -16,6 +20,7 @@ from linmin.cli import (
 )
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 TWO_POINT = str(INSTANCES / "two_point_full.json")
 GAP = str(INSTANCES / "finite_cone_gap.json")
 
@@ -144,6 +149,32 @@ class TestSuites:
         assert any("property (H)" in l.identity for l in failing)
         assert any("f^xx = f" in l.identity for l in failing)
 
+    def test_translation_is_skipped_off_the_lineality_space(self):
+        # (5,0) is not in Y: b - a is never negative in the gap cone
+        report = run_suite(load_instance(GAP), "transform", seed=5)
+        (line,) = [l for l in report.lines if l.identity == "F(f-phi) = F(f) - <., phi>"]
+        assert line.passed and line.detail.startswith("skipped: hypothesis not met")
+        assert report.ok
+
+    def test_translation_runs_on_the_lineality_space(self, tmp_path):
+        doc = {
+            "points": ["a", "b"],
+            "class": {"kind": "finite_cone", "generators": [["0", "1"]]},
+            "functions": {"f": ["5", "0"], "c": ["2", "2"], "g": ["0", "1"]},
+        }
+        report = run_suite(load_instance(write(tmp_path, doc)), "transform", seed=5)
+        lines = {
+            l.subject: l
+            for l in report.lines
+            if l.identity == "F(f-phi) = F(f) - <., phi>"
+        }
+        # constants are in Y and -Y, so the identity is checked and holds
+        for subject in ("f=c phi=c", "f=f phi=c"):
+            assert lines[subject].passed and not lines[subject].detail
+        # f is not in Y, and g is in Y but -g is not
+        for subject in ("f=c phi=f", "f=f phi=f", "f=f phi=g", "f=g phi=g"):
+            assert lines[subject].detail.startswith("skipped: hypothesis not met")
+
     def test_report_lines_render_pass(self):
         line = ReportLine("minimize", "id", "f=f", True, False)
         assert line.render().startswith("[PASS]")
@@ -240,6 +271,31 @@ class TestMain:
         assert main(["eval", TWO_POINT, "frob(f)"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["two_point_full", "finite_cone_gap"])
+    @pytest.mark.parametrize("fmt", ["txt", "json"])
+    def test_check_matches_golden_output(self, capsys, name, fmt):
+        argv = ["check", str(INSTANCES / f"{name}.json"), "--suite", "all", "--seed", "5"]
+        code = main(argv + (["--json"] if fmt == "json" else []))
+        assert code == (0 if name == "two_point_full" else 1)
+        golden = (GOLDEN / f"{name}.seed5.{fmt}").read_bytes()
+        assert capsys.readouterr().out.encode() == golden
+
+    @pytest.mark.parametrize("expr", ["biconjugate(f)", "envelope(f)"])
+    def test_eval_library_error_exits_two(self, tmp_path, capsys, expr):
+        # the cone {lam * (0, 1) : lam >= 0} holds no minorant of (0, -5)
+        doc = {
+            "points": ["a", "b"],
+            "class": {"kind": "finite_cone", "generators": [["0", "1"]], "affine_closed": False},
+            "functions": {"f": ["0", "-5"]},
+        }
+        path = write(tmp_path, doc)
+        with pytest.raises(InstanceError, match="no minorant"):
+            eval_expression(load_instance(path), expr)
+        assert main(["eval", path, expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "minorant" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
     def assert_bad_input(self, tmp_path, capsys, doc, field):
         path = write(tmp_path, doc)
         for argv in (["validate", path], ["check", path]):
@@ -270,3 +326,71 @@ class TestMain:
             ("metric", ["0", "1"]),
         ]:
             self.assert_bad_input(tmp_path, capsys, dict(BASE, **{key: value}), key)
+
+
+# --- fuzzing: any instance file and expression keeps the exit-code contract --
+
+# mostly well-formed values and known names, so that most files load and
+# most expressions reach the library
+_GOOD = ["0", "1", "-1", "2", "-5", "1/2", "-3/4", "+inf"]
+_BAD = ["0.5", "1e-2", "inf", "1/0", "", 3, None, ["1"]]
+_values = st.sampled_from(_GOOD * 40 + _BAD)
+_fnames = st.sampled_from(["f", "g", "h", "x"])
+_mnames = st.sampled_from(["Q", "R", "x"])
+
+
+def _rows(n, values=_values):
+    return st.lists(values, min_size=n, max_size=n)
+
+
+@st.composite
+def _instances(draw):
+    n = draw(st.integers(1, 3))
+    doc = {"points": [f"p{i}" for i in range(n)]}
+    if draw(st.sampled_from([True, True, True, False])):
+        d = draw(st.sampled_from(["1", "2", "1/2"]))
+        doc["metric"] = [["0" if i == j else d for j in range(n)] for i in range(n)]
+    kind = draw(st.sampled_from(["full", "lipschitz", "finite_cone", "finite_cone", "convex"]))
+    cls = {"kind": kind}
+    if kind == "finite_cone":
+        gen = st.sampled_from(["0", "1", "-1", "2"])
+        cls["generators"] = draw(st.lists(_rows(n, gen), min_size=1, max_size=3))
+        cls["affine_closed"] = draw(st.booleans())
+    doc["class"] = cls
+    doc["functions"] = draw(st.dictionaries(_fnames, _rows(n), min_size=1, max_size=3))
+    doc["measures"] = draw(st.dictionaries(_mnames, _rows(n), max_size=2))
+    doc["delta_sets"] = draw(st.dictionaries(st.just("A"), _rows(n), max_size=1))
+    doc["expect_fail"] = draw(st.lists(st.sampled_from(SUITES), max_size=2))
+    # damage one file in ten: a wrong length or a missing field
+    damage = draw(st.sampled_from([None] * 18 + ["length", "field"]))
+    if damage == "length":
+        doc["points"] = doc["points"][:-1]
+    elif damage == "field":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+_expressions = st.one_of(
+    st.builds("conjugate({},{})".format, _fnames, _fnames),
+    st.builds("biconjugate({})".format, _fnames),
+    st.builds("envelope({})".format, _fnames),
+    st.builds("T({})({})".format, _fnames, _mnames),
+    st.builds("sigma({})({})".format, st.sampled_from(["A", "B"]), _mnames),
+    st.builds("infconv({},{})({})".format, _fnames, _fnames, _fnames),
+    st.sampled_from(["T(f)", "frob(f)", "conjugate(f)(g)", ")("]),
+)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_instances(), expr=_expressions, suite=st.sampled_from(SUITES))
+def test_fuzzed_instances_keep_the_exit_code_contract(tmp_path_factory, doc, expr, suite):
+    path = tmp_path_factory.mktemp("fuzz") / "inst.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["eval", str(path), expr], ["check", str(path), "--suite", suite]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ")

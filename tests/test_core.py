@@ -67,6 +67,14 @@ def test_rat_rejects_floats():
         rat(0.5)
 
 
+def test_rat_accepts_only_integer_and_fraction_strings():
+    assert rat("1/2") == F(1, 2)
+    assert rat("-3") == -3 and rat("+4/6") == F(2, 3)
+    for bad in ("0.1", "1e-2", "1/0", "1/-2", " 1", "1\n", "", "inf", "1/2/3"):
+        with pytest.raises(ValueError, match="exact rational"):
+            rat(bad)
+
+
 def test_dirac_examples(ab):
     assert dirac(ab, "a").weights == (F(1), F(0))
     with pytest.raises(ValueError, match="unknown point"):
