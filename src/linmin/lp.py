@@ -2,37 +2,38 @@
 
 Everything is computed over exact rationals; an Optimal result satisfies
 every constraint with zero tolerance, and an Unbounded result carries a
-certificate ray along which the objective improves without bound.
-Internally the pivoting runs on gmpy2 rationals when gmpy2 is installed;
-otherwise on Fraction.  The public API speaks Fraction.
+certificate ray along which the objective improves without bound.  The
+public API speaks Fraction.
 
-The tableau is dense but mostly zero, so the work skips the zeros: a pivot
-divides and subtracts only at the nonzero columns of the pivot row, and
-the phase-1 and phase-2 cost rows are built from the nonzeros of each
-basic row.  The pivot order (Bland's entering rule, the ratio test and its
-tie-break) is the one a dense pivot would take, and every entry is the
-same exact rational, so results do not depend on the skipping.
+The tableau is fraction-free: each row is a list of Python ints with one
+positive int denominator, so entry j of row i is T[i][j] / D[i].  An input
+row is scaled to integers once, by the lcm of its denominators, and so are
+the phase-1 and phase-2 cost rows.  A pivot makes the pivot entry the
+denominator of the pivot row R, its sign made positive.  Every other row
+A with a nonzero entry f in the pivot column becomes d*A - f*R over d*D,
+where d is R's denominator, D is A's, and d and f are first divided by
+their gcd; when that leaves d = 1 only the nonzeros of R are subtracted.
+Rows with a zero in the pivot column are not touched.  Each row touched
+is reduced by one gcd over its denominator and entries, in place of a gcd
+per entry.
+
+Bland's entering rule reads the sign of an int and the ratio test compares
+rhs/a by cross-multiplying ints, with the same tie-break, so the pivot
+order is the one exact rational pivots take and every entry is the same
+rational.  Fractions are made only to report the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as _q
-except ImportError:  # no gmpy2: the Fraction fallback runs, with identical results
-    _q = Fraction
+from math import gcd, lcm
 
 LE = "<="
 EQ = "="
 GE = ">="
 
 _RELATIONS = (LE, EQ, GE)
-
-
-def _frac(v) -> Fraction:
-    return Fraction(int(v.numerator), int(v.denominator))
 
 
 @dataclass(frozen=True)
@@ -95,26 +96,65 @@ def _nonzeros(row):
     return [(j, v) for j, v in enumerate(row) if v]
 
 
-def _pivot(T, basis, row, col):
-    prow = T[row]
-    piv = prow[col]
-    nz = [(j, v / piv) for j, v in _nonzeros(prow)]
-    for j, v in nz:
-        prow[j] = v
+def _scaled(values):
+    """The values as ints over one positive common denominator: (ints, lcm)."""
+    qs = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values]
+    den = lcm(*[q.denominator for q in qs])
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+def _reduce(T, D, i):
+    """Divide row i and its denominator by their common gcd."""
+    g = gcd(D[i], *T[i])
+    if g > 1:
+        T[i] = [v // g for v in T[i]]
+        D[i] //= g
+
+
+def _append_cost_row(T, D, base, base_den, weights):
+    """Append the row base/base_den - sum of (c/base_den) * T[i]/D[i] over
+    the pairs (i, c) of weights, built from the nonzeros of each T[i]."""
+    den = lcm(*[D[i] for i, _ in weights])
+    cost = [den * v for v in base]
+    for i, c in weights:
+        s = c * (den // D[i])
+        for j, v in _nonzeros(T[i]):
+            cost[j] -= s * v
+    T.append(cost)
+    D.append(base_den * den)
+    _reduce(T, D, len(T) - 1)
+
+
+def _pivot(T, D, basis, row, col):
+    if T[row][col] < 0:
+        T[row] = [-v for v in T[row]]
+    D[row] = T[row][col]
+    _reduce(T, D, row)
+    prow, piv = T[row], D[row]
+    nz = _nonzeros(prow)
     for i, Ti in enumerate(T):
         if i != row:
             f = Ti[col]
             if f:
-                for j, b in nz:
-                    Ti[j] -= f * b
+                g = gcd(piv, f)
+                a, f = piv // g, f // g
+                if a == 1:
+                    for j, b in nz:
+                        Ti[j] -= f * b
+                else:
+                    T[i] = [a * v - f * b for v, b in zip(Ti, prow)]
+                    D[i] *= a
+                _reduce(T, D, i)
     basis[row] = col
 
 
-def _iterate(T, basis, m, cols):
+def _iterate(T, D, basis, m, cols):
     """Run simplex on tableau T (cost row at index m) restricted to cols.
 
     Bland's rule: entering = lowest-index column with negative reduced cost,
     leaving = minimum ratio with ties broken by lowest basic-variable index.
+    Denominators are positive, so a sign is the sign of the int, and the
+    ratio rhs/a of row i is T[i][-1] / T[i][enter], compared crosswise.
     Returns None at optimality, or the entering column index on unboundedness.
     """
     while True:
@@ -127,17 +167,19 @@ def _iterate(T, basis, m, cols):
         if enter < 0:
             return None
         leave = -1
-        best = None
         for i in range(m):
             a = T[i][enter]
             if a > 0:
-                r = T[i][-1] / a
-                if best is None or r < best or (r == best and basis[i] < basis[leave]):
-                    best = r
-                    leave = i
+                b = T[i][-1]
+                if (
+                    leave < 0
+                    or b * best_a < best_b * a
+                    or (b * best_a == best_b * a and basis[i] < basis[leave])
+                ):
+                    leave, best_b, best_a = i, b, a
         if leave < 0:
             return enter
-        _pivot(T, basis, leave, enter)
+        _pivot(T, D, basis, leave, enter)
 
 
 def solve(lp: LinearProgram):
@@ -148,74 +190,66 @@ def solve(lp: LinearProgram):
     tcol = n if has_free else -1          # shared negative part for free vars
     nstruct = n + (1 if has_free else 0)
 
-    zero = _q(0)
-
-    def to_y(coeffs):
-        row = [_q(v) if v else zero for v in coeffs]
+    def to_y(row):
         if has_free:
-            neg = zero
-            for k in free:
-                if row[k]:
-                    neg -= row[k]
-            row.append(neg)
+            row.append(-sum(row[k] for k in free))
         return row
 
-    obj = to_y(lp.objective)
-    if lp.maximize:
-        obj = [-v for v in obj]
+    obj, dobj = _scaled(lp.objective)
+    obj = to_y([-v for v in obj] if lp.maximize else obj)
 
     rows = []
     for coeffs, rel, rhs in lp.constraints:
-        row = to_y(coeffs)
-        b = _q(rhs)
+        row, den = _scaled((*coeffs, rhs))
+        b = row.pop()
+        row = to_y(row)
         if b < 0:
             row = [-v for v in row]
             b = -b
             rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        rows.append((row, rel, b))
+        rows.append((row, rel, b, den))
 
     m = len(rows)
-    nslack = sum(1 for _, rel, _ in rows if rel != EQ)
-    nart = sum(1 for _, rel, _ in rows if rel != LE)
+    nslack = sum(1 for _, rel, _, _ in rows if rel != EQ)
+    nart = sum(1 for _, rel, _, _ in rows if rel != LE)
     N = nstruct + nslack + nart
 
     T = []
+    D = []
     basis = []
     si = nstruct
     ai = nstruct + nslack
-    for row, rel, b in rows:
-        full = row + [zero] * (N - nstruct) + [b]
+    for row, rel, b, den in rows:
+        full = row + [0] * (N - nstruct) + [b]
         if rel == LE:
-            full[si] = _q(1)
+            full[si] = den
             basis.append(si)
             si += 1
         elif rel == GE:
-            full[si] = _q(-1)
+            full[si] = -den
             si += 1
-            full[ai] = _q(1)
+            full[ai] = den
             basis.append(ai)
             ai += 1
         else:
-            full[ai] = _q(1)
+            full[ai] = den
             basis.append(ai)
             ai += 1
         T.append(full)
+        D.append(den)
 
     nonart = list(range(nstruct + nslack))
 
     if nart:
-        cost = [zero] * (N + 1)
-        for j in range(nstruct + nslack, N):
-            cost[j] = _q(1)
-        for i in range(m):
-            if basis[i] >= nstruct + nslack:
-                for j, v in _nonzeros(T[i]):
-                    cost[j] -= v
-        T.append(cost)
-        _iterate(T, basis, m, nonart)     # phase-1 objective is bounded below
+        _append_cost_row(
+            T, D, [0] * (nstruct + nslack) + [1] * nart + [0], 1,
+            [(i, 1) for i in range(m) if basis[i] >= nstruct + nslack],
+        )
+        _iterate(T, D, basis, m, nonart)  # phase-1 objective is bounded below
         if T[m][N] != 0:
             return Infeasible()
         T.pop()
+        D.pop()
         drop = []
         for i in range(m):
             if basis[i] >= nstruct + nslack:
@@ -223,39 +257,38 @@ def solve(lp: LinearProgram):
                 if j is None:
                     drop.append(i)        # redundant row
                 else:
-                    _pivot(T, basis, i, j)
+                    _pivot(T, D, basis, i, j)
         for i in reversed(drop):
             T.pop(i)
+            D.pop(i)
             basis.pop(i)
         m = len(T)
 
-    corig = obj + [zero] * (N - nstruct)
-    cost = corig + [zero]
-    for i in range(m):
-        cb = corig[basis[i]]
-        if cb:
-            for j, v in _nonzeros(T[i]):
-                cost[j] -= cb * v
-    T.append(cost)
+    corig = obj + [0] * (N + 1 - nstruct)
+    _append_cost_row(
+        T, D, corig, dobj, [(i, corig[basis[i]]) for i in range(m) if corig[basis[i]]]
+    )
 
-    enter = _iterate(T, basis, m, nonart)
+    enter = _iterate(T, D, basis, m, nonart)
+    zero = Fraction(0)
     if enter is not None:
         ray_y = [zero] * N
-        ray_y[enter] = _q(1)
+        ray_y[enter] = Fraction(1)
         for i in range(m):
-            ray_y[basis[i]] = -T[i][enter]
+            ray_y[basis[i]] = Fraction(-T[i][enter], D[i])
         ray = [
             ray_y[k] - (ray_y[tcol] if (has_free and not lp.nonneg[k]) else zero)
             for k in range(n)
         ]
-        return Unbounded(tuple(_frac(v) for v in ray))
+        return Unbounded(tuple(ray))
 
     y = [zero] * N
     for i in range(m):
-        y[basis[i]] = T[i][N]
-    x = [
+        y[basis[i]] = Fraction(T[i][N], D[i])
+    x = tuple(
         y[k] - (y[tcol] if (has_free and not lp.nonneg[k]) else zero)
         for k in range(n)
-    ]
-    value = sum((_q(lp.objective[k]) * x[k] for k in range(n)), zero)
-    return Optimal(_frac(value), tuple(_frac(v) for v in x))
+    )
+    # the cost row's rhs is minus the minimised objective, <c, x> or -<c, x>
+    z = Fraction(T[m][N], D[m])
+    return Optimal(z if lp.maximize else -z, x)

@@ -175,6 +175,54 @@ class TestSuites:
         for subject in ("f=c phi=f", "f=f phi=f", "f=f phi=g", "f=g phi=g"):
             assert lines[subject].detail.startswith("skipped: hypothesis not met")
 
+    OFF_SIMPLEX = "F(f) = +inf outside the simplex, with a ray"
+
+    @pytest.mark.parametrize(
+        "generators, affine_closed, f, R, reason",
+        [
+            # 1 is not in Y: the first value of every member is <= 0
+            ([["-1", "1"], ["-1", "-1"]], False, ["1", "1"], ["1", "2"], "constants"),
+            # Y is the constants, so F(f)(R) = min f = 1 at a measure of mass 1
+            ([["1", "1"]], True, ["1", "2"], ["2", "-1"], "mass 1"),
+        ],
+    )
+    def test_off_simplex_is_skipped_without_the_constant_shifts(
+        self, tmp_path, generators, affine_closed, f, R, reason
+    ):
+        doc = {
+            "points": ["a", "b"],
+            "class": {
+                "kind": "finite_cone",
+                "generators": generators,
+                "affine_closed": affine_closed,
+            },
+            "functions": {"f": f},
+            "measures": {"R": R},
+        }
+        report = run_suite(load_instance(write(tmp_path, doc)), "transform", seed=0)
+        (line,) = [l for l in report.lines if l.identity == self.OFF_SIMPLEX]
+        assert line.passed
+        assert line.detail.startswith("skipped: hypothesis not met")
+        assert reason in line.detail
+        assert report.ok and report.exit_code == 0
+
+    def test_off_simplex_runs_with_the_constant_shifts(self, tmp_path):
+        doc = {
+            "points": ["a", "b"],
+            "class": {
+                "kind": "finite_cone",
+                "generators": [["1", "1"]],
+                "affine_closed": True,
+            },
+            "functions": {"f": ["1", "2"]},
+            "measures": {"R": ["2", "1"], "S": ["1/2", "-1"]},
+        }
+        report = run_suite(load_instance(write(tmp_path, doc)), "transform", seed=0)
+        lines = [l for l in report.lines if l.identity == self.OFF_SIMPLEX]
+        assert [l.subject for l in lines] == ["f=f Q=R", "f=f Q=S"]
+        for line in lines:
+            assert line.passed and line.detail == "got +inf"
+
     def test_report_lines_render_pass(self):
         line = ReportLine("minimize", "id", "f=f", True, False)
         assert line.render().startswith("[PASS]")

@@ -1,5 +1,6 @@
 """Simplex solver: golden cases, exactness, rays, and brute-force agreement."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -201,12 +202,12 @@ def sparse_programs(draw):
     )
 
 
-def boxed(lp):
+def boxed(lp, half_width=BOX):
     n = len(lp.variables)
     box = []
     for k in range(n):
         unit = tuple(F(int(j == k)) for j in range(n))
-        box += [(unit, LE, F(BOX)), (unit, GE, F(-BOX))]
+        box += [(unit, LE, F(half_width)), (unit, GE, F(-half_width))]
     return make_lp(lp.objective, lp.constraints + tuple(box), lp.maximize, lp.nonneg)
 
 
@@ -351,3 +352,153 @@ def test_pinned_results(lp, expected):
     assert res == expected
     for v in getattr(res, "point", ()) + getattr(res, "ray", ()):
         assert type(v) is F
+
+
+# --- integer rows: mixed denominators, large magnitudes, sign flips --------
+
+# Numerators reach 2**40 and denominators come from {1, 3, 7, 12}, so a row
+# scaled to integers has entries below 2**40 * 84 < 2**47.  With at most
+# three variables, Cramer's rule bounds every basic point of the program and
+# of its faces by 3! * (2**47)**3 < 2**144, and the argument above for BOX
+# holds with BIG_BOX in its place.
+BIG_BOX = 2**150
+mixed_den = st.sampled_from([1, 3, 7, 12])
+big_num = st.one_of(
+    st.integers(-9, 9), st.integers(-(2**40), 2**40), st.sampled_from([2**40, -(2**40)])
+)
+mixed_coeff = st.one_of(
+    st.just(F(0)), st.builds(F, big_num, mixed_den), st.sampled_from([F(1, 3), F(5, 7), F(-7, 12)])
+)
+
+
+@st.composite
+def mixed_programs(draw):
+    n = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        coeffs = tuple(draw(mixed_coeff) for _ in range(n))
+        rel = draw(st.sampled_from([LE, LE, GE, EQ]))
+        rhs = draw(mixed_coeff)
+        rows.append((coeffs, rel, rhs))
+        if draw(st.booleans()):
+            # a negative multiple flips the row's sign when it is normalised;
+            # an equality copy leaves an artificial basic at zero, which is
+            # driven out on whatever sign its pivot entry has
+            k = draw(st.sampled_from([F(-1), F(-5, 7), F(7, 12), F(-(2**40), 3)]))
+            rows.append((tuple(k * c for c in coeffs), rel if k > 0 else EQ, k * rhs))
+    return make_lp(
+        tuple(draw(mixed_coeff) for _ in range(n)),
+        rows,
+        maximize=draw(st.booleans()),
+        nonneg=[draw(st.booleans()) for _ in range(n)],
+    )
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mixed_programs())
+def test_mixed_denominator_programs_match_brute_force(lp):
+    res = solve(lp)
+    expected, _ = brute_force_optimum(boxed(lp, BIG_BOX))
+    if expected is None:
+        assert isinstance(res, Infeasible)
+    elif isinstance(res, Unbounded):
+        assert is_valid_ray(lp, res.ray)
+    else:
+        assert isinstance(res, Optimal)
+        assert res.value == expected
+        assert constraint_violation(lp, res.point) == 0
+        assert sum(F(c) * p for c, p in zip(lp.objective, res.point)) == res.value
+    for v in getattr(res, "point", ()) + getattr(res, "ray", ()):
+        assert type(v) is F
+    assert type(getattr(res, "value", F(0))) is F
+
+
+# --- a seeded corpus of finite-cone programs, results pinned by digest -----
+
+# The four program shapes the library solves on a finite cone, each on a
+# random cone (generator values with mixed denominators, the constants ±1
+# added to half of them): membership as in cones.contains, the [0,1]-bump of
+# cones.check_property_H, the per-point programs of duality.biconjugate and
+# duality.minorant_envelope, and the program of transform.fenchel_transform.
+# The digest was taken from the kernel that pivoted on Fraction entries, so
+# it pins the pivot order and every value, point and ray of the
+# fraction-free one.
+CORPUS_SIZE = 300
+CORPUS_SHA256 = "0db615ec8550e5a6d0e031509dfeb5faff7076f9ddd1defb1a8a1c4d1fcd85a5"
+
+
+def _corpus_value(rng):
+    if rng.random() < 0.2:
+        return F(0)
+    return F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7, 12]))
+
+
+def _corpus_program(rng, shape):
+    n, k = rng.randint(3, 7), rng.randint(2, 6)
+    gens = [[_corpus_value(rng) for _ in range(n)] for _ in range(k)]
+    if rng.random() < 0.5:
+        gens += [[F(1)] * n, [F(-1)] * n]
+        k += 2
+    cols = [tuple(g[x] for g in gens) for x in range(n)]
+    if shape == 0:
+        if rng.random() < 0.5:
+            lam = [F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(k)]
+            phi = [sum(l * g[x] for l, g in zip(lam, gens)) for x in range(n)]
+        else:
+            phi = [_corpus_value(rng) for _ in range(n)]
+        rows = [(cols[x], EQ, phi[x]) for x in range(n)]
+        return make_lp([0] * k, rows, maximize=False, nonneg=[True] * k)
+    if shape == 1:
+        xi = rng.randrange(n)
+        U = {xi} | {i for i in range(n) if rng.random() < 0.5}
+        rows = [(cols[xi], EQ, 1)]
+        rows += [(cols[i], EQ, 0) for i in range(n) if i not in U]
+        for i in sorted(U):
+            rows += [(cols[i], GE, 0), (cols[i], LE, 1)]
+        return make_lp([0] * k, rows, maximize=False, nonneg=[True] * k)
+    f = [None if rng.random() < 0.25 else _corpus_value(rng) for _ in range(n)]
+    dom = [y for y in range(n) if f[y] is not None]
+    if shape == 2 and rng.random() < 0.5:
+        # minorant_envelope: phi <= f on dom(f), maximise phi(x)
+        rows = [(cols[y], LE, f[y]) for y in dom]
+        x = rng.randrange(n)
+        return make_lp(cols[x], rows, maximize=True, nonneg=[True] * k)
+    rows = [(cols[y] + (-1,), LE, f[y]) for y in dom]
+    if shape == 2:
+        objective = cols[rng.randrange(n)] + (-1,)
+    else:
+        if rng.random() < 0.5:
+            w = [F(rng.randint(0, 3)) for _ in range(n)]
+            total = sum(w) or F(1)
+            Q = [v / total for v in w]
+        else:
+            Q = [_corpus_value(rng) for _ in range(n)]
+        objective = tuple(sum(q * g[x] for x, q in enumerate(Q)) for g in gens) + (F(-1),)
+    return make_lp(objective, rows, maximize=True, nonneg=[True] * k + [False])
+
+
+def _canonical(res):
+    if isinstance(res, Optimal):
+        return "O " + str(res.value) + " " + ",".join(map(str, res.point))
+    if isinstance(res, Unbounded):
+        return "U " + ",".join(map(str, res.ray))
+    return "I"
+
+
+def _corpus_lines():
+    rng = random.Random(20240611)
+    return [_canonical(solve(_corpus_program(rng, i % 4))) for i in range(CORPUS_SIZE)]
+
+
+def test_finite_cone_corpus_results_are_pinned():
+    lines = _corpus_lines()
+    kinds = {line[0] for line in lines}
+    assert kinds == {"O", "U", "I"}
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CORPUS_SHA256
