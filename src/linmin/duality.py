@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .core import INF, ExtFun, check_same_space
 from .cones import FINITE_CONE, FULL, FunctionClass, contains, full_class
-from .lp import LE, Infeasible, Optimal, Unbounded, make_lp, solve
+from .lp import LE, Infeasible, Optimal, Unbounded, make_lp, solve, solve_many
 
 
 @dataclass(frozen=True)
@@ -39,39 +39,30 @@ def conjugate(f: ExtFun, phi: ExtFun) -> ConjugateValue:
     return ConjugateValue(best, f.space.point_ids[where])
 
 
-def _finite_cone_minorant(f: ExtFun, Y: FunctionClass):
-    """A nonnegative combination of generators lying below f, or None."""
-    gens = Y.generators
-    k = len(gens)
-    constraints = [
-        (tuple(g.values[y] for g in gens), LE, f.values[y]) for y in f.dom()
-    ]
-    res = solve(make_lp([0] * k, constraints, maximize=False, nonneg=[True] * k))
-    return res.point if isinstance(res, Optimal) else None
-
-
 def biconjugate(f: ExtFun, Y: FunctionClass) -> ExtFun:
     """f^xx(x) = sup over phi in Y of phi(x) - f^x(phi): f itself under
-    property (H) (the full class, the Lipschitz cone), else one LP per point."""
+    property (H) (the full class, the Lipschitz cone), else one LP per point,
+    all over one polyhedron."""
     Y.check_space(f.space)
     if Y.kind != FINITE_CONE:
         return f
-    if _finite_cone_minorant(f, Y) is None:
-        raise ValueError("the cone contains no minorant of f")
     gens = Y.generators
     k = len(gens)
-    # variables: generator weights lam >= 0, then s modelling f^x(phi)
+    # variables: generator weights lam >= 0, then s modelling f^x(phi).  A
+    # feasible s <= 0 makes sum lam*g a minorant of f, so the cone holds one
+    # iff max -s is unbounded or at least 0: the first objective.
     base = [
         (tuple(g.values[y] for g in gens) + (-1,), LE, f.values[y])
         for y in f.dom()
     ]
-    nonneg = [True] * k + [False]
-    out = []
-    for x in range(f.space.n):
-        objective = tuple(g.values[x] for g in gens) + (-1,)
-        res = solve(make_lp(objective, base, maximize=True, nonneg=nonneg))
-        out.append(INF if isinstance(res, Unbounded) else res.value)
-    return ExtFun(f.space, tuple(out))
+    objectives = [(0,) * k + (-1,)]
+    objectives += [tuple(g.values[x] for g in gens) + (-1,) for x in range(f.space.n)]
+    lp = make_lp(objectives[0], base, maximize=True, nonneg=[True] * k + [False])
+    minorant, *res = solve_many(lp, objectives)
+    if isinstance(minorant, Optimal) and minorant.value < 0:
+        raise ValueError("the cone contains no minorant of f")
+    out = tuple(INF if isinstance(r, Unbounded) else r.value for r in res)
+    return ExtFun(f.space, out)
 
 
 @dataclass(frozen=True)
@@ -93,7 +84,8 @@ def check_biconjugation(f: ExtFun, Y: FunctionClass) -> BiconjugationReport:
 
 def minorant_envelope(f: ExtFun, Y: FunctionClass) -> ExtFun:
     """sup of phi(x) over phi in Y with phi <= f on dom(f), per point: f
-    under property (H) (+inf off dom(f)), else one LP per point."""
+    under property (H) (+inf off dom(f)), else one LP per point, all over
+    one polyhedron."""
     Y.check_space(f.space)
     if Y.kind != FINITE_CONE:
         return f
@@ -102,15 +94,13 @@ def minorant_envelope(f: ExtFun, Y: FunctionClass) -> ExtFun:
     constraints = [
         (tuple(g.values[y] for g in gens), LE, f.values[y]) for y in f.dom()
     ]
-    nonneg = [True] * k
-    out = []
-    for x in range(f.space.n):
-        objective = tuple(g.values[x] for g in gens)
-        res = solve(make_lp(objective, constraints, maximize=True, nonneg=nonneg))
-        if isinstance(res, Infeasible):
-            raise ValueError("the cone contains no minorant of f")
-        out.append(INF if isinstance(res, Unbounded) else res.value)
-    return ExtFun(f.space, tuple(out))
+    objectives = [tuple(g.values[x] for g in gens) for x in range(f.space.n)]
+    lp = make_lp(objectives[0], constraints, maximize=True, nonneg=[True] * k)
+    res = solve_many(lp, objectives)
+    if isinstance(res[0], Infeasible):
+        raise ValueError("the cone contains no minorant of f")
+    out = tuple(INF if isinstance(r, Unbounded) else r.value for r in res)
+    return ExtFun(f.space, out)
 
 
 def insert_between(u: ExtFun, v: ExtFun, Y: FunctionClass) -> ExtFun:

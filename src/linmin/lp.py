@@ -21,6 +21,18 @@ Bland's entering rule reads the sign of an int and the ratio test compares
 rhs/a by cross-multiplying ints, with the same tie-break, so the pivot
 order is the one exact rational pivots take and every entry is the same
 rational.  Fractions are made only to report the result.
+
+Artificial variables are basis labels, not columns.  A >= or = row starts
+with an artificial basic variable, labelled N, N+1, ... where N counts the
+structural and slack columns, and the phase-1 cost row is minus the sum
+of those rows.  No rule enters an artificial and no result reads one, so
+the tableau stores only the N columns and the rhs.
+
+solve_many shares one polyhedron among many objectives: set-up and phase 1
+run once, and each objective's phase 2 starts from the basis the previous
+one ended in.  Its first result is solve's, bit for bit.  A later result
+has the kind and value of a cold solve, but in degenerate cases its point
+or ray may differ.
 """
 
 from __future__ import annotations
@@ -148,8 +160,8 @@ def _pivot(T, D, basis, row, col):
     basis[row] = col
 
 
-def _iterate(T, D, basis, m, cols):
-    """Run simplex on tableau T (cost row at index m) restricted to cols.
+def _iterate(T, D, basis, m):
+    """Run simplex on tableau T (cost row at index m).
 
     Bland's rule: entering = lowest-index column with negative reduced cost,
     leaving = minimum ratio with ties broken by lowest basic-variable index.
@@ -160,7 +172,7 @@ def _iterate(T, D, basis, m, cols):
     while True:
         cost = T[m]
         enter = -1
-        for j in cols:
+        for j in range(len(cost) - 1):
             if cost[j] < 0:
                 enter = j
                 break
@@ -184,7 +196,22 @@ def _iterate(T, D, basis, m, cols):
 
 def solve(lp: LinearProgram):
     """Solve exactly; returns Optimal, Unbounded (with ray), or Infeasible."""
+    return solve_many(lp, [lp.objective])[0]
+
+
+def solve_many(lp: LinearProgram, objectives):
+    """Solve lp once per objective, in order, over its one polyhedron.
+
+    Set-up and phase 1 run once.  Each objective gets its own phase-2 cost
+    row, iterated from the basis the previous objective ended in; that basis
+    stays feasible after Optimal and Unbounded alike.  lp.objective itself
+    is not used; lp.maximize applies to every objective.  Returns one
+    result per objective, all Infeasible if the polyhedron is empty.
+    """
     n = len(lp.variables)
+    objectives = list(objectives)
+    if any(len(c) != n for c in objectives):
+        raise ValueError("objective length does not match variable count")
     free = [k for k in range(n) if not lp.nonneg[k]]
     has_free = bool(free)
     tcol = n if has_free else -1          # shared negative part for free vars
@@ -194,9 +221,6 @@ def solve(lp: LinearProgram):
         if has_free:
             row.append(-sum(row[k] for k in free))
         return row
-
-    obj, dobj = _scaled(lp.objective)
-    obj = to_y([-v for v in obj] if lp.maximize else obj)
 
     rows = []
     for coeffs, rel, rhs in lp.constraints:
@@ -209,51 +233,45 @@ def solve(lp: LinearProgram):
             rel = {LE: GE, GE: LE, EQ: EQ}[rel]
         rows.append((row, rel, b, den))
 
-    m = len(rows)
     nslack = sum(1 for _, rel, _, _ in rows if rel != EQ)
-    nart = sum(1 for _, rel, _, _ in rows if rel != LE)
-    N = nstruct + nslack + nart
+    N = nstruct + nslack                  # columns; the rhs is column N
 
+    # the basic variable of a >= or = row is an artificial: a label from N up
     T = []
     D = []
     basis = []
     si = nstruct
-    ai = nstruct + nslack
+    ai = N
     for row, rel, b, den in rows:
-        full = row + [0] * (N - nstruct) + [b]
+        full = row + [0] * nslack + [b]
         if rel == LE:
             full[si] = den
             basis.append(si)
             si += 1
-        elif rel == GE:
-            full[si] = -den
-            si += 1
-            full[ai] = den
-            basis.append(ai)
-            ai += 1
         else:
-            full[ai] = den
+            if rel == GE:
+                full[si] = -den
+                si += 1
             basis.append(ai)
             ai += 1
         T.append(full)
         D.append(den)
 
-    nonart = list(range(nstruct + nslack))
-
-    if nart:
+    m = len(T)
+    if ai > N:
+        # minimise the sum of the artificials, i.e. of their rows
         _append_cost_row(
-            T, D, [0] * (nstruct + nslack) + [1] * nart + [0], 1,
-            [(i, 1) for i in range(m) if basis[i] >= nstruct + nslack],
+            T, D, [0] * (N + 1), 1, [(i, 1) for i in range(m) if basis[i] >= N]
         )
-        _iterate(T, D, basis, m, nonart)  # phase-1 objective is bounded below
+        _iterate(T, D, basis, m)  # phase-1 objective is bounded below
         if T[m][N] != 0:
-            return Infeasible()
+            return [Infeasible()] * len(objectives)
         T.pop()
         D.pop()
         drop = []
         for i in range(m):
-            if basis[i] >= nstruct + nslack:
-                j = next((j for j in nonart if T[i][j] != 0), None)
+            if basis[i] >= N:
+                j = next((j for j in range(N) if T[i][j] != 0), None)
                 if j is None:
                     drop.append(i)        # redundant row
                 else:
@@ -264,31 +282,34 @@ def solve(lp: LinearProgram):
             basis.pop(i)
         m = len(T)
 
-    corig = obj + [0] * (N + 1 - nstruct)
-    _append_cost_row(
-        T, D, corig, dobj, [(i, corig[basis[i]]) for i in range(m) if corig[basis[i]]]
-    )
-
-    enter = _iterate(T, D, basis, m, nonart)
     zero = Fraction(0)
-    if enter is not None:
-        ray_y = [zero] * N
-        ray_y[enter] = Fraction(1)
-        for i in range(m):
-            ray_y[basis[i]] = Fraction(-T[i][enter], D[i])
-        ray = [
-            ray_y[k] - (ray_y[tcol] if (has_free and not lp.nonneg[k]) else zero)
-            for k in range(n)
-        ]
-        return Unbounded(tuple(ray))
 
-    y = [zero] * N
-    for i in range(m):
-        y[basis[i]] = Fraction(T[i][N], D[i])
-    x = tuple(
-        y[k] - (y[tcol] if (has_free and not lp.nonneg[k]) else zero)
-        for k in range(n)
-    )
-    # the cost row's rhs is minus the minimised objective, <c, x> or -<c, x>
-    z = Fraction(T[m][N], D[m])
-    return Optimal(z if lp.maximize else -z, x)
+    def to_x(y):
+        return tuple(
+            y[k] - (y[tcol] if (has_free and not lp.nonneg[k]) else zero)
+            for k in range(n)
+        )
+
+    results = []
+    for objective in objectives:
+        obj, dobj = _scaled(objective)
+        corig = to_y([-v for v in obj] if lp.maximize else obj)
+        corig += [0] * (N + 1 - nstruct)
+        weights = [(i, corig[basis[i]]) for i in range(m) if corig[basis[i]]]
+        _append_cost_row(T, D, corig, dobj, weights)
+        enter = _iterate(T, D, basis, m)
+        y = [zero] * N
+        if enter is not None:
+            y[enter] = Fraction(1)
+            for i in range(m):
+                y[basis[i]] = Fraction(-T[i][enter], D[i])
+            results.append(Unbounded(to_x(y)))
+        else:
+            for i in range(m):
+                y[basis[i]] = Fraction(T[i][N], D[i])
+            # the cost row's rhs is minus the minimised objective, <c, x> or -<c, x>
+            z = Fraction(T[m][N], D[m])
+            results.append(Optimal(z if lp.maximize else -z, to_x(y)))
+        T.pop()
+        D.pop()
+    return results

@@ -28,7 +28,8 @@ from linmin import (
     sum_decompose,
     zero,
 )
-from helpers import rand_ext_fun, rand_finite_fun, rand_space
+from linmin.lp import LE, Infeasible, Optimal, Unbounded, make_lp, solve
+from helpers import rand_ext_fun, rand_finite_fun, rand_rational, rand_space
 
 rationals = st.builds(F, st.integers(-20, 20), st.integers(1, 8))
 
@@ -172,6 +173,78 @@ class TestMinorantEnvelope:
                 minorant_envelope(g, skew_cone).values
                 == biconjugate(g, skew_cone).values
             )
+
+
+# The finite-cone builders solve all their per-point LPs over one polyhedron
+# with a shared phase 1, and find out whether the cone holds a minorant of f
+# from one more objective on the biconjugate's polyhedron.  The reference
+# below is the formulation they replace: a cold LP per point and a separate
+# feasibility LP for the minorant.
+
+
+def _cone_rows(f, Y, extra=()):
+    gens = Y.generators
+    return [(tuple(g.values[y] for g in gens) + extra, LE, f.values[y]) for y in f.dom()]
+
+
+def reference_biconjugate(f, Y):
+    k = len(Y.generators)
+    feasibility = make_lp([0] * k, _cone_rows(f, Y), maximize=False, nonneg=[True] * k)
+    if not isinstance(solve(feasibility), Optimal):
+        raise ValueError("the cone contains no minorant of f")
+    out = []
+    for x in range(f.space.n):
+        objective = tuple(g.values[x] for g in Y.generators) + (-1,)
+        lp = make_lp(objective, _cone_rows(f, Y, (-1,)), nonneg=[True] * k + [False])
+        res = solve(lp)
+        out.append(INF if isinstance(res, Unbounded) else res.value)
+    return tuple(out)
+
+
+def reference_envelope(f, Y):
+    k = len(Y.generators)
+    out = []
+    for x in range(f.space.n):
+        objective = tuple(g.values[x] for g in Y.generators)
+        res = solve(make_lp(objective, _cone_rows(f, Y), nonneg=[True] * k))
+        if isinstance(res, Infeasible):
+            raise ValueError("the cone contains no minorant of f")
+        out.append(INF if isinstance(res, Unbounded) else res.value)
+    return tuple(out)
+
+
+def _outcome(values):
+    try:
+        return values()
+    except ValueError as e:
+        return "ValueError: " + str(e)
+
+
+@pytest.mark.parametrize(
+    "builder, reference",
+    [(biconjugate, reference_biconjugate), (minorant_envelope, reference_envelope)],
+    ids=["biconjugate", "minorant_envelope"],
+)
+def test_finite_cone_builders_match_one_lp_per_point(builder, reference):
+    rng = random.Random(4242)
+    seen = set()
+    for _ in range(200):
+        n, k = rng.randint(2, 7), rng.randint(1, 5)
+        space = rand_space(rng, n)
+        gens = [
+            ExtFun(space, tuple(
+                F(0) if rng.random() < 0.3 else rand_rational(rng) for _ in range(n)
+            ))
+            for _ in range(k)
+        ]
+        Y = finite_cone(gens, affine_closed=rng.random() < 0.5)
+        f = rand_ext_fun(space, rng)
+        got = _outcome(lambda: builder(f, Y).values)
+        assert got == _outcome(lambda: reference(f, Y))
+        seen.add("no minorant" if isinstance(got, str) else "minorant")
+        if not isinstance(got, str) and INF in got:
+            seen.add("+inf")
+    assert seen == {"minorant", "no minorant", "+inf"}
 
 
 class TestInsertion:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from linmin.lp import (
     Unbounded,
     make_lp,
     solve,
+    solve_many,
 )
 from helpers import brute_force_optimum, constraint_violation, is_valid_ray, rand_rational
 
@@ -502,3 +504,66 @@ def test_finite_cone_corpus_results_are_pinned():
     assert kinds == {"O", "U", "I"}
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == CORPUS_SHA256
+
+
+# --- many objectives over one polyhedron -----------------------------------
+
+
+@st.composite
+def shared_polyhedra(draw):
+    """A program from the strategies above and objectives for its polyhedron:
+    its own first, then random ones, a repeat and a negation, so that later
+    objectives start from the bases earlier ones left, optimal or not."""
+    lp = draw(st.one_of(sparse_programs(), mixed_programs()))
+    coeff = st.one_of(sparse_coeff, mixed_coeff)
+    n = len(lp.variables)
+    rest = draw(st.lists(st.tuples(*[coeff] * n), min_size=1, max_size=5))
+    pick = draw(st.sampled_from([lp.objective] + rest))
+    rest += [pick, tuple(-c for c in pick), (F(0),) * n]
+    return lp, [lp.objective] + draw(st.permutations(rest))
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(shared_polyhedra())
+def test_solve_many_agrees_with_cold_solves(case):
+    lp, objectives = case
+    results = solve_many(lp, objectives)
+    assert len(results) == len(objectives)
+    assert results[0] == solve(lp)
+    if isinstance(results[0], Infeasible):
+        assert all(isinstance(res, Infeasible) for res in results)
+    for objective, res in zip(objectives, results):
+        single = replace(lp, objective=objective)
+        cold = solve(single)
+        assert type(res) is type(cold)
+        if isinstance(res, Optimal):
+            assert res.value == cold.value
+            assert constraint_violation(lp, res.point) == 0
+            assert sum(F(c) * p for c, p in zip(objective, res.point)) == res.value
+        elif isinstance(res, Unbounded):
+            assert is_valid_ray(single, res.ray)
+
+
+def test_solve_many_on_an_empty_polyhedron():
+    lp = make_lp([1, 1], [((1, 1), LE, 1), ((1, 0), GE, 2)], nonneg=[True, True])
+    assert solve_many(lp, [(1, 0), (0, -1), (0, 0)]) == [Infeasible()] * 3
+
+
+def test_solve_many_warm_starts_after_unbounded():
+    # max x is unbounded on x - y <= 1; max -x - y is then 0 at the origin
+    lp = make_lp([1, 0], [((1, -1), LE, 1)], nonneg=[True, True])
+    first, second = solve_many(lp, [(1, 0), (-1, -1)])
+    assert isinstance(first, Unbounded) and is_valid_ray(lp, first.ray)
+    assert second == Optimal(F(0), (F(0), F(0)))
+
+
+def test_solve_many_rejects_a_wrong_length_objective():
+    lp = make_lp([1, 1], [((1, 1), LE, 1)], nonneg=[True, True])
+    with pytest.raises(ValueError):
+        solve_many(lp, [(1, 1), (1,)])
