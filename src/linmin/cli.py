@@ -223,15 +223,23 @@ class ReportLine:
     expected_fail: bool
     detail: str = ""
 
+    @property
+    def skipped(self) -> bool:
+        """A passing line whose identity was not checked: its hypothesis
+        does not hold, and the detail gives the reason."""
+        return self.passed and self.detail.startswith("skipped: ")
+
     def render(self) -> str:
-        if self.passed:
+        if self.skipped:
+            tag = "SKIP"
+        elif self.passed:
             tag = "PASS"
         elif self.expected_fail:
             tag = "FAIL (hypothesis (H) fails: expected)"
         else:
             tag = "FAIL"
         line = f"[{tag}] {self.suite} | {self.identity} | {self.subject}"
-        if self.detail and not self.passed:
+        if self.detail and (self.skipped or not self.passed):
             line += f" | {self.detail}"
         return line
 

@@ -227,6 +227,23 @@ class TestSuites:
         line = ReportLine("minimize", "id", "f=f", True, False)
         assert line.render().startswith("[PASS]")
 
+    def test_skipped_lines_render_with_their_reason(self):
+        reason = "skipped: hypothesis not met: phi is not in Y ∩ -Y"
+        line = ReportLine("transform", "id", "f=f phi=f", True, False, reason)
+        assert line.skipped
+        assert line.render() == f"[SKIP] transform | id | f=f phi=f | {reason}"
+        # a checked line keeps its bare tag, whatever its detail
+        checked = ReportLine("transform", "id", "f=f", True, False, "got +inf")
+        assert not checked.skipped and checked.render() == "[PASS] transform | id | f=f"
+        failed = ReportLine("transform", "id", "f=f", False, False, "skipped: x")
+        assert not failed.skipped and failed.render().startswith("[FAIL]")
+
+    def test_skipped_lines_count_as_passed(self):
+        report = run_suite(load_instance(GAP), "transform", seed=5)
+        skipped = [l for l in report.lines if l.skipped]
+        assert skipped and all(l.passed for l in skipped)
+        assert report.ok and report.exit_code == 0
+
     def test_determinism(self):
         inst = load_instance(TWO_POINT)
         a = run_suite(inst, "all", seed=3)
