@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 class PosInf:
@@ -242,7 +243,7 @@ class Measure:
         object.__setattr__(self, "weights", w)
 
     def total(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
+        return dot(self.weights, (1,) * len(self.weights))
 
 
 def dirac(space: Space, point_id) -> Measure:
@@ -253,12 +254,36 @@ def dirac(space: Space, point_id) -> Measure:
     return Measure(space, tuple(w))
 
 
+def dot(weights, values) -> Fraction:
+    """The exact sum of w * v over the pairs with w != 0.
+
+    Each side is scaled to ints by one lcm of its denominators, so the sum
+    is taken over ints and one Fraction is made.  A value under a zero
+    weight is never read, so it may be +inf.
+    """
+    ws = []
+    vs = []
+    for w, v in zip(weights, values):
+        if w:
+            ws.append(w.as_integer_ratio())
+            vs.append(v.as_integer_ratio())
+    if not ws:
+        return Fraction(0)
+    dw = lcm(*[d for _, d in ws])
+    dv = lcm(*[d for _, d in vs])
+    num = 0
+    for (a, b), (c, d) in zip(ws, vs):
+        num += a * (dw // b) * c * (dv // d)
+    return Fraction(num, dw * dv)
+
+
 def pairing(Q: Measure, phi: ExtFun) -> Fraction:
-    """<Q, phi> = sum of weight(x) * phi(x); phi must be finite everywhere."""
+    """<Q, phi> = sum of weight(x) * phi(x), exact, by one int dot product
+    over a common denominator (see dot); phi must be finite everywhere."""
     check_same_space(Q.space, phi.space, "measure and function")
     if not phi.is_finite_everywhere():
         raise ValueError("pairing requires a finite-valued function")
-    return sum((w * v for w, v in zip(Q.weights, phi.values)), Fraction(0))
+    return dot(Q.weights, phi.values)
 
 
 VERTEX = "vertex"

@@ -39,29 +39,47 @@ def conjugate(f: ExtFun, phi: ExtFun) -> ConjugateValue:
     return ConjugateValue(best, f.space.point_ids[where])
 
 
+def _cone_dual(f: ExtFun, Y: FunctionClass, objective):
+    """The dual program of a finite cone, shifted so that the origin is
+    feasible: (lp, m), with lp maximizing `objective` over
+
+        sum_k lam_k g_k(y) - s' <= f(y) - m  for y in dom(f),  lam >= 0, s' free,
+
+    where m = min of f on dom(f).  With s = s' - m these are the rows
+    sum_k lam_k g_k(y) - s <= f(y): phi = sum_k lam_k g_k in Y, and s bounds
+    phi - f on dom(f), i.e. s >= f^x(phi).  Every rhs is >= 0, so the simplex
+    starts from the all-slack basis and runs no phase 1.  For an objective
+    with coefficient -1 on s, the value in (lam, s) is the value in
+    (lam, s') plus m; a ray is the same in both.
+    """
+    gens = Y.generators
+    dom = f.dom()
+    m = min(f.values[y] for y in dom)
+    rows = [
+        (tuple(g.values[y] for g in gens) + (-1,), LE, f.values[y] - m) for y in dom
+    ]
+    lp = make_lp(objective, rows, maximize=True, nonneg=[True] * len(gens) + [False])
+    return lp, m
+
+
 def biconjugate(f: ExtFun, Y: FunctionClass) -> ExtFun:
     """f^xx(x) = sup over phi in Y of phi(x) - f^x(phi): f itself under
     property (H) (the full class, the Lipschitz cone), else one LP per point,
-    all over one polyhedron."""
+    all over the one shifted dual program of the cone (see _cone_dual)."""
     Y.check_space(f.space)
     if Y.kind != FINITE_CONE:
         return f
     gens = Y.generators
     k = len(gens)
-    # variables: generator weights lam >= 0, then s modelling f^x(phi).  A
-    # feasible s <= 0 makes sum lam*g a minorant of f, so the cone holds one
+    # A feasible s <= 0 makes sum lam*g a minorant of f, so the cone holds one
     # iff max -s is unbounded or at least 0: the first objective.
-    base = [
-        (tuple(g.values[y] for g in gens) + (-1,), LE, f.values[y])
-        for y in f.dom()
-    ]
     objectives = [(0,) * k + (-1,)]
     objectives += [tuple(g.values[x] for g in gens) + (-1,) for x in range(f.space.n)]
-    lp = make_lp(objectives[0], base, maximize=True, nonneg=[True] * k + [False])
+    lp, m = _cone_dual(f, Y, objectives[0])
     minorant, *res = solve_many(lp, objectives)
-    if isinstance(minorant, Optimal) and minorant.value < 0:
+    if isinstance(minorant, Optimal) and minorant.value + m < 0:
         raise ValueError("the cone contains no minorant of f")
-    out = tuple(INF if isinstance(r, Unbounded) else r.value for r in res)
+    out = tuple(INF if isinstance(r, Unbounded) else r.value + m for r in res)
     return ExtFun(f.space, out)
 
 

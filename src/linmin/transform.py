@@ -23,13 +23,15 @@ from .core import (
     check_same_space,
     constant,
     dirac,
+    dot,
     in_simplex,
     is_finite,
     pairing,
     rat,
 )
 from .cones import FINITE_CONE, FunctionClass, full_class
-from .lp import EQ, LE, Optimal, Unbounded, make_lp, solve
+from .duality import _cone_dual
+from .lp import EQ, Optimal, Unbounded, make_lp, solve
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,11 @@ def _linear_sup(Q: Measure, vals: tuple, shift: bool) -> TransformValue:
         ray[neg] = Fraction(-1)
     elif off is not None:
         ray[off] = Fraction(1)
-    elif shift and Q.total() != 1:
-        ray = [Fraction(1 if Q.total() > 1 else -1)] * len(ray)
     else:
-        return TransformValue(sum((q * v for q, v in zip(w, vals) if q), Fraction(0)))
+        total = Q.total() if shift else 1
+        if total == 1:
+            return TransformValue(dot(w, vals))
+        ray = [Fraction(1 if total > 1 else -1)] * len(ray)
     return TransformValue(INF, tuple(ray))
 
 
@@ -82,29 +85,25 @@ def fenchel_transform(f: ExtFun, Y: FunctionClass, Q: Measure) -> TransformValue
     """F(f)(Q) = sup over phi in Y of <Q, phi> - f^x(phi).
 
     Under property (H) (the full class and the Lipschitz cone) this is
-    <Q, f> for Q in the simplex supported on dom(f), else +inf; a finite
-    cone takes one LP in the generator weights.  The ray certifying +inf
-    is a direction in the variables (phi, s), or (weights, s) for a
-    finite cone, along which the objective grows without bound.
+    <Q, f> for Q in the simplex supported on dom(f), else +inf.  A finite
+    cone takes one LP in the generator weights lam and s >= f^x(phi), over
+    the cone's dual program shifted by m = min f (duality._cone_dual), so
+    it starts at a feasible vertex and runs no phase 1; its value is the
+    shifted one plus m.  The ray certifying +inf is a direction in the
+    variables (phi, s), or (lam, s) for a finite cone, along which the
+    objective grows without bound.
     """
     check_same_space(Q.space, f.space, "measure and function")
     Y.check_space(f.space)
     if Y.kind != FINITE_CONE:
         return _linear_sup(Q, f.values, shift=True)
-    gens = Y.generators
-    k = len(gens)
-    # variables: generator weights lam >= 0, then s >= phi - f pointwise
-    constraints = [
-        (tuple(g.values[y] for g in gens) + (-1,), LE, f.values[y])
-        for y in f.dom()
-    ]
-    objective = tuple(pairing(Q, g) for g in gens) + (Fraction(-1),)
-    nonneg = [True] * k + [False]
-    res = solve(make_lp(objective, constraints, maximize=True, nonneg=nonneg))
+    objective = tuple(pairing(Q, g) for g in Y.generators) + (-1,)
+    lp, m = _cone_dual(f, Y, objective)
+    res = solve(lp)
     if isinstance(res, Unbounded):
         return TransformValue(INF, res.ray)
     assert isinstance(res, Optimal)
-    return TransformValue(res.value)
+    return TransformValue(res.value + m)
 
 
 class TransformedFunction:

@@ -17,6 +17,8 @@ from linmin import (
     rat,
     zero,
 )
+from linmin.core import dot
+from linmin.transform import _linear_sup
 
 rationals = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
 
@@ -118,6 +120,46 @@ def test_pairing_is_bilinear(w, u, a, phi, psi):
     assert lhs == pairing(Qw, fphi) + a * pairing(Qu, fphi)
     rhs = pairing(Qw, ExtFun(s, tuple(x + a * y for x, y in zip(phi, psi))))
     assert rhs == pairing(Qw, fphi) + a * pairing(Qw, fpsi)
+
+
+# numerators up to 2**70 and denominators of mixed primes, with zeros common
+mixed = st.one_of(
+    st.just(F(0)),
+    st.builds(
+        F,
+        st.integers(-(2**70), 2**70),
+        st.sampled_from([1, 2, 3, 7, 12, 35, 2**40, 3**25]),
+    ),
+)
+
+
+@given(
+    st.lists(st.tuples(mixed, mixed, st.booleans()), min_size=1, max_size=12),
+    st.booleans(),
+)
+def test_exact_sums_match_the_plain_fraction_sum(terms, all_zero):
+    s = Space(tuple(f"p{i}" for i in range(len(terms))))
+    w = tuple(F(0) if all_zero else t[0] for t in terms)
+    phi = tuple(t[1] for t in terms)
+    Q, f = Measure(s, w), ExtFun(s, phi)
+    assert pairing(Q, f) == sum((a * b for a, b in zip(w, phi)), F(0))
+    assert Q.total() == sum(w, F(0))
+    assert type(pairing(Q, f)) is F and type(Q.total()) is F
+    # +inf under a zero weight is never read; with Q >= 0 the sup of <Q, phi>
+    # over phi <= vals is finite, and it is <Q, vals> over the weights != 0
+    vals = tuple(INF if a == 0 and inf else b for a, (_, b, inf) in zip(w, terms))
+    Qpos = Measure(s, tuple(abs(a) for a in w))
+    tv = _linear_sup(Qpos, vals, shift=False)
+    assert tv.value == sum((abs(a) * b for a, b in zip(w, vals) if a), F(0))
+    assert tv.ray is None
+
+
+def test_exact_sums_of_an_all_zero_measure(ab):
+    Q = Measure(ab, (0, 0))
+    assert Q.total() == 0
+    assert pairing(Q, ExtFun(ab, (F(1, 3), -7))) == 0
+    assert _linear_sup(Q, (INF, F(1, 3)), shift=False).value == 0
+    assert dot((), ()) == 0
 
 
 def test_dirac_is_injective():

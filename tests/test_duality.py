@@ -28,8 +28,15 @@ from linmin import (
     sum_decompose,
     zero,
 )
+from linmin.duality import _cone_dual
 from linmin.lp import LE, Infeasible, Optimal, Unbounded, make_lp, solve
-from helpers import rand_ext_fun, rand_finite_fun, rand_rational, rand_space
+from helpers import (
+    constraint_violation,
+    rand_ext_fun,
+    rand_finite_fun,
+    rand_rational,
+    rand_space,
+)
 
 rationals = st.builds(F, st.integers(-20, 20), st.integers(1, 8))
 
@@ -175,11 +182,12 @@ class TestMinorantEnvelope:
             )
 
 
-# The finite-cone builders solve all their per-point LPs over one polyhedron
-# with a shared phase 1, and find out whether the cone holds a minorant of f
-# from one more objective on the biconjugate's polyhedron.  The reference
-# below is the formulation they replace: a cold LP per point and a separate
-# feasibility LP for the minorant.
+# The finite-cone builders solve all their per-point LPs over one polyhedron,
+# and find out whether the cone holds a minorant of f from one more
+# objective on the biconjugate's polyhedron, which is shifted by min f so
+# that it needs no phase 1.  The reference below is the formulation they
+# replace: a cold, unshifted LP per point and a separate feasibility LP for
+# the minorant.
 
 
 def _cone_rows(f, Y, extra=()):
@@ -220,13 +228,8 @@ def _outcome(values):
         return "ValueError: " + str(e)
 
 
-@pytest.mark.parametrize(
-    "builder, reference",
-    [(biconjugate, reference_biconjugate), (minorant_envelope, reference_envelope)],
-    ids=["biconjugate", "minorant_envelope"],
-)
-def test_finite_cone_builders_match_one_lp_per_point(builder, reference):
-    rng = random.Random(4242)
+def _compare_on_random_cones(builder, reference, seed, rand_f):
+    rng = random.Random(seed)
     seen = set()
     for _ in range(200):
         n, k = rng.randint(2, 7), rng.randint(1, 5)
@@ -238,13 +241,62 @@ def test_finite_cone_builders_match_one_lp_per_point(builder, reference):
             for _ in range(k)
         ]
         Y = finite_cone(gens, affine_closed=rng.random() < 0.5)
-        f = rand_ext_fun(space, rng)
+        f = rand_f(space, rng)
         got = _outcome(lambda: builder(f, Y).values)
         assert got == _outcome(lambda: reference(f, Y))
         seen.add("no minorant" if isinstance(got, str) else "minorant")
         if not isinstance(got, str) and INF in got:
             seen.add("+inf")
     assert seen == {"minorant", "no minorant", "+inf"}
+
+
+def _negative_fun(space, rng):
+    """Every finite value negative; about a quarter of the points at +inf."""
+    vals = [INF if rng.random() < 0.25 else F(rng.randint(-9, -1), rng.randint(1, 4))
+            for _ in range(space.n)]
+    if all(v is INF for v in vals):
+        vals[0] = F(-1)
+    return ExtFun(space, tuple(vals))
+
+
+BUILDERS = pytest.mark.parametrize(
+    "builder, reference",
+    [(biconjugate, reference_biconjugate), (minorant_envelope, reference_envelope)],
+    ids=["biconjugate", "minorant_envelope"],
+)
+
+
+@BUILDERS
+def test_finite_cone_builders_match_one_lp_per_point(builder, reference):
+    _compare_on_random_cones(builder, reference, 4242, rand_ext_fun)
+
+
+@BUILDERS
+def test_finite_cone_builders_match_on_negative_functions(builder, reference):
+    # biconjugate's program is shifted by min f < 0 here; unshifted, every
+    # one of its rows would need phase 1
+    _compare_on_random_cones(builder, reference, 5151, _negative_fun)
+
+
+def test_cone_dual_starts_feasible():
+    # every row is <= with rhs >= 0, so the origin is a vertex and no row
+    # needs an artificial: the simplex runs no phase 1
+    rng = random.Random(6161)
+    for _ in range(100):
+        n, k = rng.randint(2, 7), rng.randint(1, 5)
+        space = rand_space(rng, n)
+        gens = [ExtFun(space, tuple(rand_rational(rng) for _ in range(n))) for _ in range(k)]
+        Y = finite_cone(gens, affine_closed=rng.random() < 0.5)
+        f = rand_ext_fun(space, rng) if rng.random() < 0.5 else _negative_fun(space, rng)
+        objective = (0,) * len(Y.generators) + (-1,)
+        lp, m = _cone_dual(f, Y, objective)
+        assert m == min(f.values[y] for y in f.dom())
+        assert len(lp.constraints) == len(f.dom())
+        assert all(rel == LE and rhs >= 0 for _, rel, rhs in lp.constraints)
+        assert min(rhs for _, _, rhs in lp.constraints) == 0
+        assert lp.nonneg == (True,) * len(Y.generators) + (False,)
+        # the origin (lam, s') = 0 is feasible
+        assert constraint_violation(lp, (0,) * (len(Y.generators) + 1)) == 0
 
 
 class TestInsertion:

@@ -34,7 +34,15 @@ from linmin import (
     vertex_enumerate_min,
     zero,
 )
-from helpers import rand_ext_fun, rand_finite_fun, rand_outside_measure, rand_space
+from linmin.lp import LE, Optimal, Unbounded, make_lp, solve
+from helpers import (
+    is_valid_ray,
+    rand_ext_fun,
+    rand_finite_fun,
+    rand_outside_measure,
+    rand_rational,
+    rand_space,
+)
 
 rationals = st.builds(F, st.integers(-20, 20), st.integers(1, 8))
 
@@ -303,3 +311,68 @@ def test_sampled_measures_are_deterministic_and_in_simplex(ab):
     assert a == b
     assert all(in_simplex(Q) for Q in a)
     assert a != sample_simplex_measures(ab, 20, 43)
+
+
+# On a finite cone the transform's LP runs over the cone's dual program
+# shifted by m = min f, so that it starts at a feasible vertex.  The
+# reference below is the unshifted program with the same objective, solved
+# cold from phase 1.  Values must agree; a +inf may come with another ray
+# than the cold solve's, and that ray must certify the unshifted program.
+
+
+def reference_transform_lp(f, Y, Q):
+    """max <Q, sum lam*g> - s over sum lam*g(y) - s <= f(y) on dom(f), lam >= 0."""
+    gens = Y.generators
+    rows = [(tuple(g.values[y] for g in gens) + (-1,), LE, f.values[y]) for y in f.dom()]
+    objective = tuple(pairing(Q, g) for g in gens) + (F(-1),)
+    return make_lp(objective, rows, maximize=True, nonneg=[True] * len(gens) + [False])
+
+
+def _cone_measures(f, rng):
+    """A simplex measure, one charging a point off dom(f) if there is one,
+    and a signed or off-mass measure."""
+    s, dom = f.space, f.dom()
+    raw = [F(rng.randint(0, 5)) for _ in range(s.n)]
+    raw[rng.choice(dom)] += 1
+    out = [Measure(s, tuple(w / sum(raw) for w in raw))]
+    off = [i for i in range(s.n) if i not in dom]
+    if off:
+        charged = list(raw)
+        charged[rng.choice(off)] += 1
+        out.append(Measure(s, tuple(w / sum(charged) for w in charged)))
+    out.append(rand_outside_measure(s, rng))
+    return out
+
+
+def test_finite_cone_transform_matches_the_unshifted_lp():
+    rng = random.Random(6060)
+    seen = set()
+    for _ in range(300):
+        n, k = rng.randint(2, 6), rng.randint(1, 4)
+        space = rand_space(rng, n)
+        gens = [
+            ExtFun(space, tuple(
+                F(0) if rng.random() < 0.3 else rand_rational(rng) for _ in range(n)
+            ))
+            for _ in range(k)
+        ]
+        affine = rng.random() < 0.5
+        Y = finite_cone(gens, affine_closed=affine)
+        f = rand_ext_fun(space, rng)
+        for Q in _cone_measures(f, rng):
+            tv = fenchel_transform(f, Y, Q)
+            lp = reference_transform_lp(f, Y, Q)
+            ref = solve(lp)
+            if isinstance(ref, Unbounded):
+                assert tv.value is INF
+                assert is_valid_ray(lp, tv.ray)
+                seen.add(("+inf", affine))
+                if tv.ray != ref.ray:
+                    seen.add("another ray")
+            else:
+                assert isinstance(ref, Optimal)
+                assert tv.value == ref.value and tv.ray is None
+                seen.add(("finite", affine))
+    assert seen == {
+        ("+inf", True), ("+inf", False), ("finite", True), ("finite", False), "another ray"
+    }
