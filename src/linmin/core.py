@@ -101,7 +101,14 @@ def _ext(v):
 
 @dataclass(frozen=True)
 class Space:
-    """A finite ground set of named points with an optional exact metric."""
+    """A finite ground set of named points with an optional exact metric.
+
+    The metric is checked once, when the space is made, on ints: its
+    entries times one lcm of their denominators.  The checks run in a fixed
+    order (per row: zero diagonal, then positive and symmetric entries; then
+    the triangle law over ordered triples), and the ValueError names the
+    first failure.  The stored metric keeps its Fraction entries.
+    """
 
     point_ids: tuple
     metric: tuple | None = None
@@ -118,22 +125,33 @@ class Space:
             rows = tuple(tuple(rat(v) for v in row) for row in self.metric)
             if len(rows) != n or any(len(r) != n for r in rows):
                 raise ValueError("metric must be a square matrix over the points")
+            # one lcm of the denominators makes every entry an int and keeps
+            # every comparison
+            den = lcm(*[q.denominator for row in rows for q in row])
+            m = [[q.numerator * (den // q.denominator) for q in row] for row in rows]
             for i in range(n):
-                if rows[i][i] != 0:
+                mi = m[i]
+                if mi[i] != 0:
                     raise ValueError(f"metric diagonal must be zero at {ids[i]}")
                 for j in range(n):
-                    if i != j and rows[i][j] <= 0:
+                    if i != j and mi[j] <= 0:
                         raise ValueError(
                             f"distance must be positive for ({ids[i]}, {ids[j]})"
                         )
-                    if rows[i][j] != rows[j][i]:
+                    if mi[j] != m[j][i]:
                         raise ValueError(
                             f"metric must be symmetric at ({ids[i]}, {ids[j]})"
                         )
+            # the first (i, j, k) in order with d(i,j) > d(i,k) + d(k,j); the
+            # metric is symmetric, so d(k,j) is row j's k-th entry and (j, i, k)
+            # fails with (i, j, k), and d(i,i) = 0, so the first has j > i
             for i in range(n):
-                for j in range(n):
+                mi = m[i]
+                for j in range(i + 1, n):
+                    mij = mi[j]
+                    mj = m[j]
                     for k in range(n):
-                        if rows[i][j] > rows[i][k] + rows[k][j]:
+                        if mij > mi[k] + mj[k]:
                             raise ValueError(
                                 "triangle inequality fails for "
                                 f"({ids[i]}, {ids[j]}, {ids[k]})"
@@ -231,7 +249,13 @@ def indicator(space: Space, point_id) -> ExtFun:
 
 @dataclass(frozen=True)
 class Measure:
-    """A rational weight vector on a Space; signed weights are permitted."""
+    """A rational weight vector on a Space; signed weights are permitted.
+
+    A measure is immutable, so its simplex facts are found once, when it is
+    made: its weights scaled to ints (see _scale), its mass, and its place
+    relative to the simplex (classify_measure).  They are kept outside the
+    dataclass fields, so == and repr see only the space and the weights.
+    """
 
     space: Space
     weights: tuple
@@ -241,9 +265,19 @@ class Measure:
         if len(w) != self.space.n:
             raise ValueError("one weight per point required")
         object.__setattr__(self, "weights", w)
+        sw = _scale(w)
+        _, ints, den = sw
+        total = Fraction(sum(ints), den)
+        object.__setattr__(self, "_scaled", sw)
+        object.__setattr__(self, "_total", total)
+        object.__setattr__(self, "_where", _locate(len(w), ints, total))
 
     def total(self) -> Fraction:
-        return dot(self.weights, (1,) * len(self.weights))
+        return self._total
+
+    def dot(self, values) -> Fraction:
+        """dot(self.weights, values), with the weights' ints made once."""
+        return _scaled_dot(self._scaled, values)
 
 
 def dirac(space: Space, point_id) -> Measure:
@@ -254,6 +288,27 @@ def dirac(space: Space, point_id) -> Measure:
     return Measure(space, tuple(w))
 
 
+def _scale(weights) -> tuple:
+    """(indices of the nonzero weights, those weights as ints over one
+    denominator, that denominator): the weights' half of dot, made once
+    and reused over many value vectors by _scaled_dot."""
+    idx = [i for i, w in enumerate(weights) if w]
+    ratios = [weights[i].as_integer_ratio() for i in idx]
+    den = lcm(*[b for _, b in ratios])
+    return idx, [a * (den // b) for a, b in ratios], den
+
+
+def _scaled_dot(sw: tuple, values) -> Fraction:
+    """dot(weights, values) for sw = _scale(weights)."""
+    idx, ints, den = sw
+    vs = [values[i].as_integer_ratio() for i in idx]
+    dv = lcm(*[d for _, d in vs])
+    num = 0
+    for a, (c, d) in zip(ints, vs):
+        num += a * c * (dv // d)
+    return Fraction(num, den * dv)
+
+
 def dot(weights, values) -> Fraction:
     """The exact sum of w * v over the pairs with w != 0.
 
@@ -261,29 +316,17 @@ def dot(weights, values) -> Fraction:
     is taken over ints and one Fraction is made.  A value under a zero
     weight is never read, so it may be +inf.
     """
-    ws = []
-    vs = []
-    for w, v in zip(weights, values):
-        if w:
-            ws.append(w.as_integer_ratio())
-            vs.append(v.as_integer_ratio())
-    if not ws:
-        return Fraction(0)
-    dw = lcm(*[d for _, d in ws])
-    dv = lcm(*[d for _, d in vs])
-    num = 0
-    for (a, b), (c, d) in zip(ws, vs):
-        num += a * (dw // b) * c * (dv // d)
-    return Fraction(num, dw * dv)
+    return _scaled_dot(_scale(weights), values)
 
 
 def pairing(Q: Measure, phi: ExtFun) -> Fraction:
     """<Q, phi> = sum of weight(x) * phi(x), exact, by one int dot product
-    over a common denominator (see dot); phi must be finite everywhere."""
+    over a common denominator (see dot, and Measure.dot, which scales Q's
+    weights once); phi must be finite everywhere."""
     check_same_space(Q.space, phi.space, "measure and function")
     if not phi.is_finite_everywhere():
         raise ValueError("pairing requires a finite-valued function")
-    return dot(Q.weights, phi.values)
+    return Q.dot(phi.values)
 
 
 VERTEX = "vertex"
@@ -292,15 +335,20 @@ BOUNDARY = "boundary-of-simplex"
 OUTSIDE = "outside-simplex"
 
 
-def classify_measure(Q: Measure) -> str:
-    """Locate Q relative to the probability simplex over the points."""
-    w = Q.weights
-    if any(v < 0 for v in w) or Q.total() != 1:
+def _locate(n: int, ints: list, total: Fraction) -> str:
+    """Where a measure on n points lies, from its nonzero weights as ints
+    (signs kept, see _scale) and its mass."""
+    if total != 1 or any(a < 0 for a in ints):
         return OUTSIDE
-    ones = [v for v in w if v != 0]
-    if len(ones) == 1 and ones[0] == 1:
+    if len(ints) == 1:
         return VERTEX
-    return INTERIOR if all(v > 0 for v in w) else BOUNDARY
+    return INTERIOR if len(ints) == n else BOUNDARY
+
+
+def classify_measure(Q: Measure) -> str:
+    """Locate Q relative to the probability simplex over the points (found
+    once, when Q is made)."""
+    return Q._where
 
 
 def in_simplex(Q: Measure) -> bool:

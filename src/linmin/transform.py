@@ -23,7 +23,6 @@ from .core import (
     check_same_space,
     constant,
     dirac,
-    dot,
     in_simplex,
     is_finite,
     pairing,
@@ -64,20 +63,22 @@ def _linear_sup(Q: Measure, vals: tuple, shift: bool) -> TransformValue:
     carries a ray in (phi; s), or phi alone: (-e_x; 0) at the first x with
     Q(x) < 0, else (e_x; 0) at the first x with Q(x) > 0 and vals(x) +inf,
     else (1,...,1; 1) when the mass of Q is above 1, (-1,...,-1; -1) below.
+    Whether Q is in the simplex, and its mass, were found when Q was made,
+    so a Q in the simplex skips the scan for a weight below 0.
     """
     w = Q.weights
-    ray = [Fraction(0)] * (len(w) + shift)
-    neg = next((i for i, q in enumerate(w) if q < 0), None)
-    off = next((i for i, q in enumerate(w) if q > 0 and not is_finite(vals[i])), None)
-    if neg is not None:
-        ray[neg] = Fraction(-1)
-    elif off is not None:
-        ray[off] = Fraction(1)
-    else:
+    neg = None if in_simplex(Q) else next((i for i, q in enumerate(w) if q < 0), None)
+    off = next((i for i, v in enumerate(vals) if not is_finite(v) and w[i] > 0), None)
+    if neg is None and off is None:
         total = Q.total() if shift else 1
         if total == 1:
-            return TransformValue(dot(w, vals))
-        ray = [Fraction(1 if total > 1 else -1)] * len(ray)
+            return TransformValue(Q.dot(vals))
+        return TransformValue(INF, (Fraction(1 if total > 1 else -1),) * (len(w) + shift))
+    ray = [Fraction(0)] * (len(w) + shift)
+    if neg is not None:
+        ray[neg] = Fraction(-1)
+    else:
+        ray[off] = Fraction(1)
     return TransformValue(INF, tuple(ray))
 
 
@@ -89,7 +90,8 @@ def fenchel_transform(f: ExtFun, Y: FunctionClass, Q: Measure) -> TransformValue
     cone takes one LP in the generator weights lam and s >= f^x(phi), over
     the cone's dual program shifted by m = min f (duality._cone_dual), so
     it starts at a feasible vertex and runs no phase 1; its value is the
-    shifted one plus m.  The ray certifying +inf is a direction in the
+    shifted one plus m.  Its objective <Q, g> per generator g reuses Q's
+    weights as ints (Measure.dot).  The ray certifying +inf is a direction in the
     variables (phi, s), or (lam, s) for a finite cone, along which the
     objective grows without bound.
     """
@@ -97,7 +99,7 @@ def fenchel_transform(f: ExtFun, Y: FunctionClass, Q: Measure) -> TransformValue
     Y.check_space(f.space)
     if Y.kind != FINITE_CONE:
         return _linear_sup(Q, f.values, shift=True)
-    objective = tuple(pairing(Q, g) for g in Y.generators) + (-1,)
+    objective = tuple(Q.dot(g.values) for g in Y.generators) + (-1,)
     lp, m = _cone_dual(f, Y, objective)
     res = solve(lp)
     if isinstance(res, Unbounded):
@@ -167,11 +169,11 @@ def sample_simplex_measures(space: Space, count: int, seed: int):
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        raw = [Fraction(rng.randint(0, 12)) for _ in range(space.n)]
+        raw = [rng.randint(0, 12) for _ in range(space.n)]
         if not any(raw):
-            raw[rng.randrange(space.n)] = Fraction(1)
+            raw[rng.randrange(space.n)] = 1
         total = sum(raw)
-        out.append(Measure(space, tuple(w / total for w in raw)))
+        out.append(Measure(space, tuple(Fraction(r, total) for r in raw)))
     return out
 
 
@@ -205,16 +207,19 @@ def check_constant_transform(space: Space, c, sample, Y=None) -> CheckReport:
 def check_translation(f: ExtFun, phi: ExtFun, sample, Y=None) -> CheckReport:
     """F(f - phi) = F(f) - <., phi> on the simplex, for phi in Y and -Y."""
     Y = Y if Y is not None else full_class()
+    shifted = f - phi
     items = []
     for Q in sample:
         if not in_simplex(Q):
             continue
-        lhs = fenchel_transform(f - phi, Y, Q).value
+        lhs = fenchel_transform(shifted, Y, Q).value
         base = fenchel_transform(f, Y, Q).value
-        rhs = base - pairing(Q, phi) if is_finite(base) else INF
+        paired = pairing(Q, phi)
+        rhs = base - paired if is_finite(base) else INF
+        at = f"at Q={tuple(map(str, Q.weights))}"
         items.append(
             CheckItem(
-                f"F(f-phi)(Q) = F(f)(Q) - <Q,phi> at Q={tuple(map(str, Q.weights))}",
+                f"F(f-phi)(Q) = F(f)(Q) - <Q,phi> {at}",
                 lhs == rhs,
                 f"lhs={_fmt(lhs)} rhs={_fmt(rhs)}",
             )
@@ -222,8 +227,8 @@ def check_translation(f: ExtFun, phi: ExtFun, sample, Y=None) -> CheckReport:
         affine = fenchel_transform(phi, Y, Q).value
         items.append(
             CheckItem(
-                f"F(phi)(Q) = <Q,phi> at Q={tuple(map(str, Q.weights))}",
-                affine == pairing(Q, phi),
+                f"F(phi)(Q) = <Q,phi> {at}",
+                affine == paired,
                 f"got {_fmt(affine)}",
             )
         )
@@ -259,26 +264,30 @@ def check_isotone(f: ExtFun, g: ExtFun, sample) -> CheckReport:
     space = f.space
     Tf, Tg = transform_T(f), transform_T(g)
     diracs = [dirac(space, p) for p in space.point_ids]
+    le = f.leq(g)
     items = []
-    if f.leq(g):
-        for Q in list(diracs) + list(sample):
+    if le:
+        for Q in diracs + list(sample):
+            a, b = Tf(Q), Tg(Q)
             items.append(
                 CheckItem(
                     f"f <= g so T(f)(Q) <= T(g)(Q) at Q={tuple(map(str, Q.weights))}",
-                    Tf(Q) <= Tg(Q),
-                    f"T(f)={Tf(Q)} T(g)={Tg(Q)}",
+                    a <= b,
+                    f"T(f)={a} T(g)={b}",
                 )
             )
-    lifted_le = all(Tf(D) <= Tg(D) for D in diracs)
+        lifted_le = all(item.ok for item in items[: len(diracs)])
+    else:
+        lifted_le = all(Tf(D) <= Tg(D) for D in diracs)
     if lifted_le:
         items.append(
             CheckItem(
                 "T(f) <= T(g) at every Dirac mass so f <= g pointwise",
-                f.leq(g),
+                le,
                 "",
             )
         )
-    if not f.leq(g) and not lifted_le:
+    if not le and not lifted_le:
         items.append(
             CheckItem("f and g are incomparable; neither direction applies", True, "")
         )

@@ -1,9 +1,10 @@
 """Spaces, extended functions, measures, and the Dirac embedding."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from linmin import (
     INF,
@@ -51,6 +52,72 @@ def test_metric_validation():
 def test_triangle_inequality_names_the_triple():
     with pytest.raises(ValueError, match=r"\(a, c, b\)"):
         Space(("a", "b", "c"), [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+
+
+def _first_metric_error(ids, metric):
+    """The metric checks as one ordered Fraction scan, every (i, j, k) of the
+    triangle law included: the message of the first failure, or None."""
+    n = len(ids)
+    rows = [[F(v) for v in row] for row in metric]
+    for i in range(n):
+        if rows[i][i] != 0:
+            return f"metric diagonal must be zero at {ids[i]}"
+        for j in range(n):
+            if i != j and rows[i][j] <= 0:
+                return f"distance must be positive for ({ids[i]}, {ids[j]})"
+            if rows[i][j] != rows[j][i]:
+                return f"metric must be symmetric at ({ids[i]}, {ids[j]})"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if rows[i][j] > rows[i][k] + rows[k][j]:
+                    return (
+                        "triangle inequality fails for "
+                        f"({ids[i]}, {ids[j]}, {ids[k]})"
+                    )
+    return None
+
+
+dens = st.sampled_from([1, 2, 3, 7, 12, 35, 2**40, 3**25])
+
+
+@st.composite
+def metrics(draw):
+    """A positive symmetric matrix over mixed denominators, closed under
+    shortest paths (mostly) or not, then up to three entries overwritten at
+    random positions (mostly symmetrically, by values that may be 0 or
+    negative), so that each check fails first somewhere."""
+    n = draw(st.integers(1, 7))
+    d = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = draw(st.builds(F, st.integers(1, 40), dens))
+    mostly = st.sampled_from([True, True, True, False])
+    if draw(mostly):
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        d[i][j] = draw(st.builds(F, st.integers(-2, 60), dens))
+        if draw(mostly):
+            d[j][i] = d[i][j]
+    as_str = draw(st.booleans())
+    return [[str(v) if as_str else v for v in row] for row in d]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(metrics())
+def test_metric_checks_match_the_ordered_fraction_scan(metric):
+    ids = tuple(f"p{i}" for i in range(len(metric)))
+    want = _first_metric_error(ids, metric)
+    if want is None:
+        assert Space(ids, metric).metric == tuple(tuple(F(v) for v in r) for r in metric)
+    else:
+        with pytest.raises(ValueError) as err:
+            Space(ids, metric)
+        assert str(err.value) == want
 
 
 def test_extfun_rejects_empty_domain(ab):
@@ -160,6 +227,76 @@ def test_exact_sums_of_an_all_zero_measure(ab):
     assert pairing(Q, ExtFun(ab, (F(1, 3), -7))) == 0
     assert _linear_sup(Q, (INF, F(1, 3)), shift=False).value == 0
     assert dot((), ()) == 0
+
+
+def _fresh_classification(w):
+    total = sum(w, F(0))
+    if any(v < 0 for v in w) or total != 1:
+        return "outside-simplex"
+    support = [v for v in w if v != 0]
+    if len(support) == 1 and support[0] == 1:
+        return "vertex"
+    return "interior-of-simplex" if all(v > 0 for v in w) else "boundary-of-simplex"
+
+
+def _general_linear_sup(w, vals, shift):
+    """_linear_sup with every Q taking the general path: the q < 0 scan and
+    the mass taken afresh.  Returns (value, ray)."""
+    ray = [F(0)] * (len(w) + shift)
+    neg = next((i for i, q in enumerate(w) if q < 0), None)
+    off = next((i for i, q in enumerate(w) if q > 0 and vals[i] is INF), None)
+    if neg is not None:
+        ray[neg] = F(-1)
+    elif off is not None:
+        ray[off] = F(1)
+    else:
+        total = sum(w, F(0)) if shift else 1
+        if total == 1:
+            return sum((q * v for q, v in zip(w, vals) if q), F(0)), None
+        ray = [F(1 if total > 1 else -1)] * len(ray)
+    return INF, tuple(ray)
+
+
+# simplex measures (normalised counts, zeros common) and signed ones
+measure_weights = st.one_of(
+    st.lists(st.integers(0, 3), min_size=1, max_size=7)
+    .filter(any)
+    .map(lambda c: tuple(F(x, sum(c)) for x in c)),
+    st.lists(mixed, min_size=1, max_size=7).map(tuple),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(measure_weights)
+def test_measure_facts_equal_a_fresh_computation(w):
+    Q = Measure(Space(tuple(f"p{i}" for i in range(len(w)))), w)
+    assert Q.total() == sum(w, F(0)) and type(Q.total()) is F
+    assert classify_measure(Q) == _fresh_classification(w)
+    # the facts are no dataclass fields: equality and repr see the weights only
+    assert [f.name for f in dataclasses.fields(Q)] == ["space", "weights"]
+    assert Q == Measure(Q.space, tuple(str(v) for v in w))
+    assert "_total" not in repr(Q)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(measure_weights, st.data(), st.booleans())
+def test_linear_sup_simplex_path_equals_the_general_path(w, data, shift):
+    n = len(w)
+    values = st.lists(st.one_of(st.just(INF), rationals), min_size=n, max_size=n)
+    vals = tuple(data.draw(values))
+    Q = Measure(Space(tuple(f"p{i}" for i in range(n))), w)
+    tv = _linear_sup(Q, vals, shift)
+    assert (tv.value, tv.ray) == _general_linear_sup(w, vals, shift)
+
+
+def test_linear_sup_reads_inf_only_under_positive_weights():
+    abc = Space(("a", "b", "c"))
+    Q = Measure(abc, (F(1, 3), F(2, 3), 0))
+    tv = _linear_sup(Q, (F(3), F(-3, 2), INF), True)
+    assert (tv.value, tv.ray) == (F(0), None)
+    tv = _linear_sup(Q, (F(3), INF, F(0)), True)
+    assert tv.value is INF and tv.ray == (0, 1, 0, 0)
+    assert (tv.value, tv.ray) == _general_linear_sup(Q.weights, (F(3), INF, F(0)), True)
 
 
 def test_dirac_is_injective():
