@@ -10,6 +10,7 @@ failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -135,7 +136,11 @@ def load_instance(path) -> Instance:
         raise InstanceError(f"{path}: top level must be an object")
 
     points = doc.get("points")
-    if not isinstance(points, list) or not points:
+    if (
+        not isinstance(points, list)
+        or not points
+        or not all(isinstance(p, str) for p in points)
+    ):
         raise InstanceError("field 'points': expected a nonempty list of strings")
     metric = _typed(doc, "metric", list, None)
     if metric is not None:
@@ -417,7 +422,7 @@ def _suite_transform(inst, seed, out):
                 lhs = support_function(A, Q).value
                 rhs = fenchel_transform(f, inst.fclass, Q).value
                 if lhs != rhs:
-                    bad.append(f"Q={tuple(map(str, Q.weights))}")
+                    bad.append(f"Q={Q.label}")
             out.append(
                 ReportLine(
                     "transform",
@@ -518,7 +523,7 @@ def _suite_delta(inst, seed, out):
             lhs = support_function(A, Q).value
             rhs = fenchel_transform(f, full_class(), Q).value
             if lhs != rhs:
-                bad.append(f"Q={tuple(map(str, Q.weights))}")
+                bad.append(f"Q={Q.label}")
         out.append(
             ReportLine(
                 "delta",
@@ -634,7 +639,11 @@ def _evaluate(inst: Instance, expression: str):
     raise InstanceError(f"unknown expression head {head!r}")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The `linmin` argument parser, built on the first call and shared by
+    every later one (not at import: most importers never parse a command
+    line).  parse_args keeps no state in it between calls."""
     parser = argparse.ArgumentParser(
         prog="linmin",
         description="Exact identity checks for conjugacy, inf-convolution, "
@@ -655,8 +664,16 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate", help="load and validate an instance file")
     p_val.add_argument("instance")
+    return parser
 
-    ns = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    """Run one `linmin` command line; return its exit code (0 all-pass,
+    1 identity failure, 2 input error; argparse exits 2 itself on a bad
+    command line).  The argument parser is built once per process, on
+    first use, so an in-process caller pays only for the instance and its
+    identities."""
+    ns = _parser().parse_args(argv)
     try:
         inst = load_instance(ns.instance)
     except InstanceError as e:

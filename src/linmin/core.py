@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 
@@ -69,14 +70,16 @@ def is_finite(v) -> bool:
     return not isinstance(v, PosInf)
 
 
-_RATIONAL = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 
 
 def rat(v) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to an exact rational.
 
     Floats are rejected: no floating point may enter an identity check,
-    nor may decimal or exponent strings such as '0.1' or '1e-2'.
+    nor may decimal or exponent strings such as '0.1' or '1e-2'.  A string
+    is parsed once: the numerator and denominator come from the one match
+    of _RATIONAL, with the values Fraction(str) would give.
     """
     if isinstance(v, Fraction):
         return v
@@ -85,9 +88,11 @@ def rat(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        if not _RATIONAL.fullmatch(v):
+        m = _RATIONAL.fullmatch(v)
+        if not m:
             raise ValueError(f"not an exact rational string like '1/2': {v!r}")
-        return Fraction(v)
+        num, den = m.groups()
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     raise TypeError(f"not an exact rational: {v!r}")
 
 
@@ -253,8 +258,9 @@ class Measure:
 
     A measure is immutable, so its simplex facts are found once, when it is
     made: its weights scaled to ints (see _scale), its mass, and its place
-    relative to the simplex (classify_measure).  They are kept outside the
-    dataclass fields, so == and repr see only the space and the weights.
+    relative to the simplex (classify_measure).  They, and the report label,
+    are kept outside the dataclass fields, so == and repr see only the space
+    and the weights.
     """
 
     space: Space
@@ -274,6 +280,13 @@ class Measure:
 
     def total(self) -> Fraction:
         return self._total
+
+    @cached_property
+    def label(self) -> str:
+        """The weights as report text, e.g. "('1/2', '1/2')", made once, on
+        first use: a sample of measures is labelled by every check it is
+        reused in."""
+        return str(tuple(map(str, self.weights)))
 
     def dot(self, values) -> Fraction:
         """dot(self.weights, values), with the weights' ints made once."""

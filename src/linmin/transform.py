@@ -184,19 +184,20 @@ def _fmt(v) -> str:
 def check_constant_transform(space: Space, c, sample, Y=None) -> CheckReport:
     """F(c) is c on the simplex and +inf outside it."""
     Y = Y if Y is not None else full_class()
-    cf = constant(space, rat(c))
+    cv = rat(c)
+    cf = constant(space, cv)
     items = []
     for Q in sample:
         tv = fenchel_transform(cf, Y, Q)
         if in_simplex(Q):
-            ok = tv.value == rat(c)
-            expected = str(rat(c))
+            ok = tv.value == cv
+            expected = str(cv)
         else:
             ok = not tv.finite and tv.ray is not None
             expected = "+inf"
         items.append(
             CheckItem(
-                f"F({c})(Q={tuple(map(str, Q.weights))}) = {expected}",
+                f"F({c})(Q={Q.label}) = {expected}",
                 ok,
                 f"got {_fmt(tv.value)}",
             )
@@ -216,7 +217,7 @@ def check_translation(f: ExtFun, phi: ExtFun, sample, Y=None) -> CheckReport:
         base = fenchel_transform(f, Y, Q).value
         paired = pairing(Q, phi)
         rhs = base - paired if is_finite(base) else INF
-        at = f"at Q={tuple(map(str, Q.weights))}"
+        at = f"at Q={Q.label}"
         items.append(
             CheckItem(
                 f"F(f-phi)(Q) = F(f)(Q) - <Q,phi> {at}",
@@ -249,7 +250,7 @@ def check_cone_morphism(f: ExtFun, g: ExtFun, alpha, beta, sample) -> CheckRepor
         items.append(
             CheckItem(
                 f"T({a}f+{b}g)(Q) = {a}T(f)(Q)+{b}T(g)(Q) "
-                f"at Q={tuple(map(str, Q.weights))}",
+                f"at Q={Q.label}",
                 lhs == rhs,
                 f"lhs={lhs} rhs={rhs}",
             )
@@ -271,7 +272,7 @@ def check_isotone(f: ExtFun, g: ExtFun, sample) -> CheckReport:
             a, b = Tf(Q), Tg(Q)
             items.append(
                 CheckItem(
-                    f"f <= g so T(f)(Q) <= T(g)(Q) at Q={tuple(map(str, Q.weights))}",
+                    f"f <= g so T(f)(Q) <= T(g)(Q) at Q={Q.label}",
                     a <= b,
                     f"T(f)={a} T(g)={b}",
                 )
@@ -349,7 +350,7 @@ def perturbation_principle(f: ExtFun, phi: ExtFun, sample) -> CheckReport:
         rhs = Tf(Q) + pairing(Q, phi)
         items.append(
             CheckItem(
-                f"T(f+phi)(Q) = T(f)(Q) + <Q,phi> at Q={tuple(map(str, Q.weights))}",
+                f"T(f+phi)(Q) = T(f)(Q) + <Q,phi> at Q={Q.label}",
                 lhs == rhs,
                 f"lhs={lhs} rhs={rhs}",
             )

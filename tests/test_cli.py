@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from linmin.cli import (
     Report,
     ReportLine,
     SUITES,
+    _parser,
     eval_expression,
     load_instance,
     main,
@@ -360,6 +362,61 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "minorant" in captured.err
         assert "Traceback" not in captured.err + captured.out
+
+    def test_the_shared_parser_keeps_no_state_between_calls(self, capsys):
+        # the reference: a call with no flags on a newly built parser
+        _parser.cache_clear()
+        assert main(["check", TWO_POINT]) == 0
+        fresh = capsys.readouterr().out
+        assert fresh.startswith("seed: 0\n")
+        _parser.cache_clear()
+
+        golden = {
+            fmt: (GOLDEN / f"two_point_full.seed5.{fmt}").read_bytes()
+            for fmt in ("json", "txt")
+        }
+        assert main(["check", TWO_POINT, "--suite", "all", "--seed", "5", "--json"]) == 0
+        assert capsys.readouterr().out.encode() == golden["json"]
+        # the defaults all / 0 / text come back, not the last call's flags
+        assert main(["check", TWO_POINT]) == 0
+        assert capsys.readouterr().out == fresh
+        with pytest.raises(SystemExit) as exc:
+            main(["check", TWO_POINT, "--suite", "bogus"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: linmin check [-h]")
+        assert "argument --suite: invalid choice: 'bogus'" in captured.err
+        # the calls after a parse error still work
+        assert main(["validate", TWO_POINT]) == 0
+        assert capsys.readouterr().out.startswith("ok: 2 points")
+        assert main(["check", TWO_POINT, "--suite", "all", "--seed", "5"]) == 0
+        assert capsys.readouterr().out.encode() == golden["txt"]
+
+    @pytest.mark.parametrize("points", [[1, 2], [None, True], ["a", ["b"]]])
+    def test_point_ids_must_be_strings(self, tmp_path, capsys, points):
+        path = write(tmp_path, dict(BASE, points=points))
+        for argv in (["validate", path], ["check", path]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "error: field 'points': expected a nonempty list of strings\n"
+            )
+            assert captured.out == ""
+
+    @pytest.mark.skipif(
+        not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+        reason="this interpreter parses 5,000-digit ints",
+    )
+    def test_a_value_past_the_int_digit_limit_exits_two(self, tmp_path, capsys):
+        path = write(tmp_path, dict(BASE, functions={"f": ["0", "1" * 5000]}))
+        for argv in (["validate", path], ["check", path]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(
+                "error: functions[f]: expected an exact rational string like '1/2'"
+            )
+            assert "Traceback" not in captured.err + captured.out
 
     def assert_bad_input(self, tmp_path, capsys, doc, field):
         path = write(tmp_path, doc)

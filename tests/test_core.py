@@ -1,10 +1,11 @@
 """Spaces, extended functions, measures, and the Dirac embedding."""
 
 import dataclasses
+import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linmin import (
     INF,
@@ -18,7 +19,7 @@ from linmin import (
     rat,
     zero,
 )
-from linmin.core import dot
+from linmin.core import _RATIONAL, dot
 from linmin.transform import _linear_sup
 
 rationals = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
@@ -142,6 +143,59 @@ def test_rat_accepts_only_integer_and_fraction_strings():
     for bad in ("0.1", "1e-2", "1/0", "1/-2", " 1", "1\n", "", "inf", "1/2/3"):
         with pytest.raises(ValueError, match="exact rational"):
             rat(bad)
+
+
+# the strings rat accepts: ASCII or other Unicode decimal digits, an optional
+# sign, leading zeros, and numerators past a thousand digits
+_any_digit = st.sampled_from("0123456789") | st.characters(categories=("Nd",))
+_short = st.text(_any_digit, min_size=1, max_size=8)
+_long = st.integers(0, 10**4000).map(str)
+
+
+@st.composite
+def _rational_strings(draw):
+    s = draw(st.sampled_from(["", "+", "-"])) + "0" * draw(st.integers(0, 3))
+    s += draw(_short | _long)
+    if draw(st.booleans()):
+        s += "/" + draw(st.sampled_from("123456789")) + draw(
+            st.text(_any_digit, max_size=6)
+        )
+    return s
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_strings())
+@example("-0")
+@example("\u0663")
+@example("\u0663/5")
+@example("-007/10")
+def test_rat_gives_the_value_fraction_gives(s):
+    assert _RATIONAL.fullmatch(s)
+    q = rat(s)
+    assert type(q) is F and q == F(s)
+
+
+# the set of strings rat accepts, as it was before the pattern had groups
+_ACCEPTED = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("0123456789+-/ ._e\u0663\n"), max_size=8))
+def test_rat_accepts_exactly_the_rational_pattern(s):
+    if _ACCEPTED.fullmatch(s):
+        assert rat(s) == F(s)
+    else:
+        with pytest.raises(ValueError, match="exact rational"):
+            rat(s)
+
+
+def test_measure_label_is_its_weights_as_text_and_no_field(ab):
+    Q = Measure(ab, ("1/2", "-1/2"))
+    assert Q.label == "('1/2', '-1/2')" == str(tuple(map(str, Q.weights)))
+    assert Q.label is Q.label
+    assert [f.name for f in dataclasses.fields(Q)] == ["space", "weights"]
+    assert Q == Measure(ab, (F(1, 2), F(-1, 2)))
+    assert "label" not in repr(Q)
 
 
 def test_dirac_examples(ab):
