@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import ExtFun, Space, check_same_space, constant, indicator
 from .lp import EQ, GE, LE, Infeasible, Optimal, make_lp, solve
@@ -79,13 +80,30 @@ class Membership:
 
 
 def best_lipschitz_constant(space: Space, phi: ExtFun) -> Fraction:
-    best = Fraction(0)
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            r = abs(phi.values[i] - phi.values[j]) / space.dist(i, j)
-            if r > best:
-                best = r
-    return best
+    """The least L with |phi(x) - phi(y)| <= L d(x, y) on the space: the max
+    over pairs of |phi(x) - phi(y)| / d(x, y), and 0 on one point.
+
+    phi must be finite-valued and live on the space, which needs a metric.
+    phi's values are scaled to ints a_i by one lcm D and the metric is read
+    as ints m_ij over its denominator den (Space.int_metric), so the pairs'
+    ratios |a_i - a_j| / m_ij are compared by int cross-multiplication and
+    one Fraction is made for the max p / q: p * den / (q * D).
+    """
+    check_same_space(space, phi.space, "space and function")
+    m, den = space.int_metric()
+    if not phi.is_finite_everywhere():
+        raise ValueError("a Lipschitz constant needs a finite-valued function")
+    ratios = [v.as_integer_ratio() for v in phi.values]
+    D = lcm(*[b for _, b in ratios])
+    a = [c * (D // b) for c, b in ratios]
+    p, q = 0, 1
+    for i, ai in enumerate(a):
+        mi = m[i]
+        for j in range(i + 1, len(a)):
+            num = abs(ai - a[j])
+            if num * q > p * mi[j]:
+                p, q = num, mi[j]
+    return Fraction(p * den, q * D)
 
 
 def contains(Y: FunctionClass, phi: ExtFun) -> Membership:
@@ -119,6 +137,11 @@ def check_property_H(Y: FunctionClass, space: Space, x, U):
     """Look for a [0,1]-valued bump in Y equal to 1 at x and 0 off U.
 
     Returns the witness ExtFun, or None when the class has no such bump.
+    The full class gives the indicator of x.  The Lipschitz cone gives the
+    hat max(0, 1 - d(x, .) / r), r the distance from x to the nearest point
+    off U (the constant 1 when U is the whole space), computed on the
+    space's int metric with one Fraction per value.  A finite cone solves
+    an LP for the generator weights.
     """
     Y.check_space(space)
     xi = space.index(x)
@@ -133,11 +156,11 @@ def check_property_H(Y: FunctionClass, space: Space, x, U):
     if Y.kind == LIPSCHITZ:
         if not outside:
             return constant(space, 1)
-        r = min(space.dist(xi, i) for i in outside)
-        vals = tuple(
-            max(Fraction(0), 1 - space.dist(xi, i) / r) for i in range(space.n)
-        )
-        return ExtFun(space, vals)
+        # den cancels from d / r, so row xi's ints give the hat
+        row = space.int_metric()[0][xi]
+        r = min(row[i] for i in outside)
+        zero = Fraction(0)
+        return ExtFun(space, tuple(Fraction(r - d, r) if d < r else zero for d in row))
 
     gens = Y.generators
     k = len(gens)
@@ -208,20 +231,23 @@ def separates_points(space: Space, Y: FunctionClass) -> SeparationReport:
     Y.check_space(space)
     witnesses = []
     failures = []
-    for i in range(space.n):
+    for i in range(space.n - 1):
+        x = space.point_ids[i]
+        # one witness for every pair (x, y): the indicator of x, or d(x, .)
+        if Y.kind == FULL:
+            phi = indicator(space, x)
+        elif Y.kind == LIPSCHITZ:
+            phi = ExtFun(space, space.metric[i])
+        else:
+            phi = None
         for j in range(i + 1, space.n):
-            x, y = space.point_ids[i], space.point_ids[j]
-            if Y.kind == FULL:
-                witnesses.append((x, y, indicator(space, x)))
-            elif Y.kind == LIPSCHITZ:
-                phi = ExtFun(space, tuple(space.dist(i, k) for k in range(space.n)))
+            y = space.point_ids[j]
+            if phi is not None:
                 witnesses.append((x, y, phi))
+                continue
+            g = next((g for g in Y.generators if g.values[i] != g.values[j]), None)
+            if g is None:
+                failures.append((x, y))
             else:
-                g = next(
-                    (g for g in Y.generators if g.values[i] != g.values[j]), None
-                )
-                if g is None:
-                    failures.append((x, y))
-                else:
-                    witnesses.append((x, y, g))
+                witnesses.append((x, y, g))
     return SeparationReport(not failures, tuple(witnesses), tuple(failures))

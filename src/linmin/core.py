@@ -112,7 +112,9 @@ class Space:
     entries times one lcm of their denominators.  The checks run in a fixed
     order (per row: zero diagonal, then positive and symmetric entries; then
     the triangle law over ordered triples), and the ValueError names the
-    first failure.  The stored metric keeps its Fraction entries.
+    first failure.  The stored metric keeps its Fraction entries.  The ints
+    and their denominator are kept too (see int_metric), outside the
+    dataclass fields, so == and repr see only the points and the metric.
     """
 
     point_ids: tuple
@@ -125,6 +127,7 @@ class Space:
         if len(set(ids)) != len(ids):
             raise ValueError("point ids must be distinct")
         object.__setattr__(self, "point_ids", ids)
+        object.__setattr__(self, "_scaled", None)
         if self.metric is not None:
             n = len(ids)
             rows = tuple(tuple(rat(v) for v in row) for row in self.metric)
@@ -133,7 +136,9 @@ class Space:
             # one lcm of the denominators makes every entry an int and keeps
             # every comparison
             den = lcm(*[q.denominator for row in rows for q in row])
-            m = [[q.numerator * (den // q.denominator) for q in row] for row in rows]
+            m = tuple(
+                tuple([q.numerator * (den // q.denominator) for q in row]) for row in rows
+            )
             for i in range(n):
                 mi = m[i]
                 if mi[i] != 0:
@@ -162,6 +167,7 @@ class Space:
                                 f"({ids[i]}, {ids[j]}, {ids[k]})"
                             )
             object.__setattr__(self, "metric", rows)
+            object.__setattr__(self, "_scaled", (m, den))
 
     @property
     def n(self) -> int:
@@ -177,6 +183,13 @@ class Space:
         if self.metric is None:
             raise ValueError("space has no metric")
         return self.metric[i][j]
+
+    def int_metric(self) -> tuple:
+        """(m, den): the metric's rows as ints over one denominator, so
+        dist(i, j) == Fraction(m[i][j], den); found when the space is made."""
+        if self._scaled is None:
+            raise ValueError("space has no metric")
+        return self._scaled
 
 
 @dataclass(frozen=True)

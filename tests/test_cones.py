@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from linmin import (
     ExtFun,
@@ -18,6 +18,7 @@ from linmin import (
     lipschitz_cone,
     separates_points,
 )
+from linmin.cones import best_lipschitz_constant
 from helpers import rand_finite_fun, rand_space
 
 
@@ -58,6 +59,28 @@ def test_lipschitz_needs_metric():
     s = Space(("a", "b"))
     with pytest.raises(ValueError, match="metric"):
         contains(lipschitz_cone(), ExtFun(s, (0, 1)))
+
+
+@pytest.mark.parametrize("points", [("a", "b"), ("a",)])
+def test_best_lipschitz_constant_needs_a_metric(points):
+    s = Space(points)
+    with pytest.raises(ValueError, match="^space has no metric$"):
+        best_lipschitz_constant(s, ExtFun(s, (0,) * len(points)))
+
+
+def test_best_lipschitz_constant_needs_phi_on_the_space(ab):
+    abc = Space(("a", "b", "c"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    # phi must not be indexed past its values, nor read on only the first
+    # points of a larger space
+    with pytest.raises(ValueError, match="different spaces"):
+        best_lipschitz_constant(abc, ExtFun(ab, (0, 1)))
+    with pytest.raises(ValueError, match="different spaces"):
+        best_lipschitz_constant(ab, ExtFun(abc, (0, 1, 5)))
+
+
+def test_best_lipschitz_constant_needs_finite_values(ab):
+    with pytest.raises(ValueError, match="finite-valued"):
+        best_lipschitz_constant(ab, ExtFun(ab, (0, "+inf")))
 
 
 def test_finite_cone_membership(ab, skew_cone):
@@ -169,3 +192,78 @@ def test_separation_fails_for_constant_generators(ab):
     rep = separates_points(ab, Y)
     assert not rep.ok
     assert rep.failures == (("a", "b"),)
+
+
+# The Lipschitz class is computed on the space's int metric; these direct
+# Fraction formulas are its reference.
+
+
+def _fraction_hat(space, xi, U_idx):
+    outside = [i for i in range(space.n) if i not in U_idx]
+    if not outside:
+        return (F(1),) * space.n
+    r = min(space.dist(xi, i) for i in outside)
+    return tuple(max(F(0), 1 - space.dist(xi, i) / r) for i in range(space.n))
+
+
+def _fraction_lipschitz_constant(space, phi):
+    best = F(0)
+    for i in range(space.n):
+        for j in range(i + 1, space.n):
+            r = abs(phi.values[i] - phi.values[j]) / space.dist(i, j)
+            if r > best:
+                best = r
+    return best
+
+
+metric_dens = st.sampled_from([1, 2, 3, 12, 3**7, 3**25])
+
+
+@st.composite
+def metric_spaces(draw):
+    """1-8 points with a shortest-path metric over denominators up to 3**25,
+    given as strings or as Fractions.  The seed distances have few
+    numerators and often one denominator, so ties d(x, i) == d(x, j) are
+    common."""
+    n = draw(st.integers(1, 8))
+    shared = draw(st.one_of(st.none(), metric_dens))
+    d = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            den = shared or draw(metric_dens)
+            d[i][j] = d[j][i] = F(draw(st.integers(1, 6)), den)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    as_str = draw(st.booleans())
+    metric = [[str(v) if as_str else v for v in row] for row in d]
+    return Space(tuple(f"p{i}" for i in range(n)), metric)
+
+
+values = st.one_of(
+    st.builds(F, st.integers(-6, 6), st.integers(1, 4)),
+    st.builds(F, st.integers(-(2**200), 2**200), st.integers(1, 2**120)),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(metric_spaces(), st.data())
+def test_lipschitz_hat_matches_the_fraction_formula(space, data):
+    xi = data.draw(st.integers(0, space.n - 1))
+    whole = data.draw(st.booleans())
+    U_idx = set(range(space.n)) if whole else data.draw(
+        st.sets(st.integers(0, space.n - 1))
+    ) | {xi}
+    U = [space.point_ids[i] for i in sorted(U_idx)]
+    sigma = check_property_H(lipschitz_cone(), space, space.point_ids[xi], U)
+    assert sigma.values == _fraction_hat(space, xi, U_idx)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(metric_spaces(), st.data())
+def test_lipschitz_constant_matches_the_fraction_formula(space, data):
+    phi = ExtFun(space, tuple(data.draw(values) for _ in range(space.n)))
+    want = _fraction_lipschitz_constant(space, phi)
+    assert best_lipschitz_constant(space, phi) == want
+    assert contains(lipschitz_cone(), phi).certificate == want
