@@ -252,6 +252,70 @@ class TestSuites:
         b = run_suite(inst, "all", seed=3)
         assert [l.render() for l in a.lines] == [l.render() for l in b.lines]
 
+    @pytest.mark.parametrize("name", ["two_point_full", "finite_cone_gap", "lipschitz_hats"])
+    def test_all_is_the_single_suites_in_order(self, name):
+        inst = load_instance(str(INSTANCES / f"{name}.json"))
+        single = [l for s in SUITES if s != "all" for l in run_suite(inst, s, 5).lines]
+        assert list(run_suite(inst, "all", 5).lines) == single
+
+    def test_the_line_order_is_pinned(self, tmp_path):
+        # two delta sets, two off-simplex measures (R, S), a +inf value in f
+        doc = {
+            "points": ["a", "b"],
+            "metric": [["0", "1"], ["1", "0"]],
+            "class": {"kind": "full"},
+            "functions": {"f": ["0", "+inf"], "g": ["1", "2"], "h": ["0", "0"]},
+            "measures": {"Q": ["1/2", "1/2"], "R": ["2", "1"], "S": ["1/2", "-1"]},
+            "delta_sets": {"A": ["0", "1"], "B": ["2", "3"]},
+            "expect_fail": ["delta"],
+        }
+        report = run_suite(load_instance(write(tmp_path, doc)), "all", seed=5)
+        got = [(l.suite, l.identity, l.subject, l.passed, l.expected_fail) for l in report.lines]
+        finite = "gh"
+        lines = (
+            [("biconjugation", "bump functions exist for every point (property (H))", "class full")]
+            + [("biconjugation", "f^xx = f", f"f={f}") for f in "fgh"]
+            + [
+                ("infconv", "(f+g)^x = f^x <> g^x", f"f={f} g={g} theta={t}")
+                for f in finite for g in finite for t in finite
+            ]
+            + [
+                ("minimax", "f^x(xi) = inf over phi <= f of phi^x(xi)", f"f={f} xi={x}")
+                for f in "fgh" for x in finite
+            ]
+            + [("transform", "F(c) = c + indicator of the simplex", "c=3")]
+            + [
+                ("transform", "F(f-phi) = F(f) - <., phi>", f"f={f} phi={p}")
+                for f in "fgh" for p in finite
+            ]
+            + [
+                ("transform", "T(af+bg) = aT(f) + bT(g)", f"f={f} g={g} a=1 b=1")
+                for f in finite for g in finite
+            ]
+            + [
+                ("transform", "support function of the minorant set equals F(f)", f"f={f}")
+                for f in finite
+            ]
+            + [
+                ("transform", "F(f) = +inf outside the simplex, with a ray", f"f={f} Q={q}")
+                for q in "RS" for f in "fgh"
+            ]
+            + [("isotone", "f <= g iff T(f) <= T(g)", s) for s in ("f=g g=h", "f=h g=g")]
+            + [
+                ("minimize", "inf of f = min of T(f) over the simplex; argmins correspond", f"f={f}")
+                for f in "fgh"
+            ]
+            + [
+                ("delta", identity, f"A={a}")
+                for a in "AB"
+                for identity in (
+                    "delta set <-> bound function round trip is the identity",
+                    "support function of the set equals F of its bound function",
+                )
+            ]
+        )
+        assert got == [(*line, True, line[0] == "delta") for line in lines]
+
 
 class TestEval:
     @pytest.fixture
