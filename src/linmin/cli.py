@@ -23,7 +23,6 @@ from .core import (
     Space,
     constant,
     in_simplex,
-    is_finite,
     rat,
 )
 from .cones import (
@@ -47,6 +46,7 @@ from .duality import (
 )
 from .transform import (
     DeltaSet,
+    _fmt,
     check_cone_morphism,
     check_constant_transform,
     check_isotone,
@@ -57,17 +57,6 @@ from .transform import (
     minimize_equivalence,
     sample_simplex_measures,
     support_function,
-)
-
-SUITES = (
-    "biconjugation",
-    "infconv",
-    "minimax",
-    "transform",
-    "isotone",
-    "minimize",
-    "delta",
-    "all",
 )
 
 class InstanceError(ValueError):
@@ -263,176 +252,134 @@ class Report:
         return 0 if self.ok else 1
 
 
-def _fmt(v) -> str:
-    return "+inf" if not is_finite(v) else str(v)
+def _skip(reason) -> str:
+    """The detail of a line whose identity was not checked because its
+    hypothesis does not hold: what ReportLine.skipped reads."""
+    return "skipped: " + reason
 
 
-def _finite_functions(inst):
-    return [(n, f) for n, f in sorted(inst.functions.items()) if f.is_finite_everywhere()]
+def _failures(rep) -> str:
+    return "; ".join(i.detail for i in rep.items if not i.ok)
 
 
-def _suite_biconjugation(inst, seed, out):
-    hrep = check_property_H_all(inst.fclass, inst.space)
-    xf = "biconjugation" in inst.expect_fail
-    out.append(
-        ReportLine(
-            "biconjugation",
-            "bump functions exist for every point (property (H))",
-            f"class {inst.fclass.kind}",
-            hrep.ok,
-            xf,
-            f"fails at {hrep.failures}" if not hrep.ok else "",
-        )
+def _support_mismatches(A, f, fclass, measures) -> str:
+    """The measures Q at which sigma_A(Q) and F(f)(Q) differ, as a detail."""
+    return "; ".join(
+        f"Q={Q.label}"
+        for Q in measures
+        if support_function(A, Q).value != fenchel_transform(f, fclass, Q).value
     )
-    for name, f in sorted(inst.functions.items()):
+
+
+class _Shared:
+    """The values several suites read, each made on first use, so that a
+    single-suite run pays only for what its suite reads."""
+
+    def __init__(self, inst, seed):
+        self.inst = inst
+        self.seed = seed
+
+    @functools.cached_property
+    def functions(self):
+        return sorted(self.inst.functions.items())
+
+    @functools.cached_property
+    def finite(self):
+        return [(n, f) for n, f in self.functions if f.is_finite_everywhere()]
+
+    @functools.cached_property
+    def sample(self):
+        return sample_simplex_measures(self.inst.space, 20, self.seed)
+
+
+# Each check is a generator of report lines, as (identity, subject, passed,
+# detail) tuples.
+
+_INFCONV = "(f+g)^x = f^x <> g^x"
+_MINIMAX = "f^x(xi) = inf over phi <= f of phi^x(xi)"
+
+
+def _biconjugation(inst, shared):
+    hrep = check_property_H_all(inst.fclass, inst.space)
+    yield (
+        "bump functions exist for every point (property (H))",
+        f"class {inst.fclass.kind}",
+        hrep.ok,
+        f"fails at {hrep.failures}" if not hrep.ok else "",
+    )
+    for name, f in shared.functions:
         try:
             rep = check_biconjugation(f, inst.fclass)
         except ValueError as e:
-            out.append(
-                ReportLine("biconjugation", "f^xx = f", f"f={name}", False, xf, str(e))
-            )
+            yield "f^xx = f", f"f={name}", False, str(e)
             continue
         detail = "" if rep.equal else "gaps " + ", ".join(
             f"{p}: f^xx={_fmt(b)} < f={_fmt(a)}" for p, a, b in rep.gaps
         )
-        out.append(
-            ReportLine("biconjugation", "f^xx = f", f"f={name}", rep.equal, xf, detail)
-        )
+        yield "f^xx = f", f"f={name}", rep.equal, detail
 
 
-def _suite_infconv(inst, seed, out):
-    xf = "infconv" in inst.expect_fail
-    if inst.fclass.kind != FULL:
-        out.append(
-            ReportLine(
-                "infconv",
-                "(f+g)^x = f^x <> g^x",
-                f"class {inst.fclass.kind}",
-                True,
-                xf,
-                "skipped: identity is stated for the full class",
-            )
-        )
-        return
-    finite = _finite_functions(inst)
+def _infconv(inst, shared):
+    finite = shared.finite
     for fname, f in finite:
         for gname, g in finite:
             for tname, th in finite:
                 rep = check_infconv_theorem(f, g, th)
-                out.append(
-                    ReportLine(
-                        "infconv",
-                        "(f+g)^x = f^x <> g^x",
-                        f"f={fname} g={gname} theta={tname}",
-                        rep.ok,
-                        xf,
-                        f"infconv={rep.infconv} direct={rep.direct}",
-                    )
-                )
+                detail = f"infconv={rep.infconv} direct={rep.direct}"
+                yield _INFCONV, f"f={fname} g={gname} theta={tname}", rep.ok, detail
 
 
-def _suite_minimax(inst, seed, out):
-    xf = "minimax" in inst.expect_fail
-    if inst.fclass.kind != FULL:
-        out.append(
-            ReportLine(
-                "minimax",
-                "f^x(xi) = inf over phi <= f of phi^x(xi)",
-                f"class {inst.fclass.kind}",
-                True,
-                xf,
-                "skipped: identity is stated for the full class",
-            )
-        )
-        return
-    for fname, f in sorted(inst.functions.items()):
-        for xname, xi in _finite_functions(inst):
+def _minimax(inst, shared):
+    for fname, f in shared.functions:
+        for xname, xi in shared.finite:
             rep = minimax_identity_check(f, inst.fclass, xi)
-            out.append(
-                ReportLine(
-                    "minimax",
-                    "f^x(xi) = inf over phi <= f of phi^x(xi)",
-                    f"f={fname} xi={xname}",
-                    rep.ok,
-                    xf,
-                    f"lhs={rep.lhs} rhs={rep.rhs}",
-                )
-            )
+            yield _MINIMAX, f"f={fname} xi={xname}", rep.ok, f"lhs={rep.lhs} rhs={rep.rhs}"
 
 
-def _suite_transform(inst, seed, out):
-    xf = "transform" in inst.expect_fail
-    sample = sample_simplex_measures(inst.space, 20, seed)
-    rep = check_constant_transform(inst.space, 3, sample, inst.fclass)
-    out.append(
-        ReportLine(
-            "transform",
-            "F(c) = c + indicator of the simplex",
-            "c=3",
-            rep.ok,
-            xf,
-            "; ".join(i.label for i in rep.items if not i.ok),
-        )
-    )
-    finite = _finite_functions(inst)
-    # the translation identity is stated for phi in Y and -phi in Y
+def _constant_transform(inst, shared):
+    rep = check_constant_transform(inst.space, 3, shared.sample, inst.fclass)
+    detail = "; ".join(i.label for i in rep.items if not i.ok)
+    yield "F(c) = c + indicator of the simplex", "c=3", rep.ok, detail
+
+
+def _translation(inst, shared):
+    # the identity is stated for phi in Y and -phi in Y
     lineal = {
         pname
-        for pname, phi in finite
+        for pname, phi in shared.finite
         if contains(inst.fclass, phi).member
         and contains(inst.fclass, phi.scale(-1)).member
     }
-    for fname, f in sorted(inst.functions.items()):
-        for pname, phi in finite:
+    for fname, f in shared.functions:
+        for pname, phi in shared.finite:
             if pname in lineal:
-                rep = check_translation(f, phi, sample, inst.fclass)
-                ok = rep.ok
-                detail = "; ".join(i.detail for i in rep.items if not i.ok)
+                rep = check_translation(f, phi, shared.sample, inst.fclass)
+                ok, detail = rep.ok, _failures(rep)
             else:
-                ok = True
-                detail = "skipped: hypothesis not met: phi is not in Y ∩ -Y"
-            out.append(
-                ReportLine(
-                    "transform",
-                    "F(f-phi) = F(f) - <., phi>",
-                    f"f={fname} phi={pname}",
-                    ok,
-                    xf,
-                    detail,
-                )
-            )
-    if inst.fclass.kind == FULL:
-        for fname, f in finite:
-            for gname, g in finite:
-                rep = check_cone_morphism(f, g, 1, 1, sample)
-                out.append(
-                    ReportLine(
-                        "transform",
-                        "T(af+bg) = aT(f) + bT(g)",
-                        f"f={fname} g={gname} a=1 b=1",
-                        rep.ok,
-                        xf,
-                        "; ".join(i.detail for i in rep.items if not i.ok),
-                    )
-                )
-        for fname, f in finite:
-            A = function_to_delta_set(f)
-            bad = []
-            for Q in sample:
-                lhs = support_function(A, Q).value
-                rhs = fenchel_transform(f, inst.fclass, Q).value
-                if lhs != rhs:
-                    bad.append(f"Q={Q.label}")
-            out.append(
-                ReportLine(
-                    "transform",
-                    "support function of the minorant set equals F(f)",
-                    f"f={fname}",
-                    not bad,
-                    xf,
-                    "; ".join(bad),
-                )
-            )
+                ok, detail = True, _skip("hypothesis not met: phi is not in Y ∩ -Y")
+            yield "F(f-phi) = F(f) - <., phi>", f"f={fname} phi={pname}", ok, detail
+
+
+def _cone_morphism(inst, shared):
+    if inst.fclass.kind != FULL:
+        return
+    for fname, f in shared.finite:
+        for gname, g in shared.finite:
+            rep = check_cone_morphism(f, g, 1, 1, shared.sample)
+            subject = f"f={fname} g={gname} a=1 b=1"
+            yield "T(af+bg) = aT(f) + bT(g)", subject, rep.ok, _failures(rep)
+
+
+def _minorant_support(inst, shared):
+    if inst.fclass.kind != FULL:
+        return
+    for fname, f in shared.finite:
+        A = function_to_delta_set(f)
+        detail = _support_mismatches(A, f, inst.fclass, shared.sample)
+        yield "support function of the minorant set equals F(f)", f"f={fname}", not detail, detail
+
+
+def _off_simplex(inst, shared):
     # (H) makes F(f) = +inf off the simplex; on a finite cone only shifts
     # by the constants do, and only for a measure whose mass is not 1
     off = [(qname, Q) for qname, Q in sorted(inst.measures.items()) if not in_simplex(Q)]
@@ -444,116 +391,96 @@ def _suite_transform(inst, seed, out):
         lacking = "the constants 1 and -1 are not both in Y"
     for qname, Q in off:
         skip = lacking or ("Q has mass 1 on a finite cone" if cone and Q.total() == 1 else None)
-        for fname, f in sorted(inst.functions.items()):
+        for fname, f in shared.functions:
             if skip is None:
                 tv = fenchel_transform(f, inst.fclass, Q)
-                ok = not tv.finite and tv.ray is not None
-                detail = f"got {_fmt(tv.value)}"
+                ok, detail = not tv.finite and tv.ray is not None, f"got {_fmt(tv.value)}"
             else:
-                ok = True
-                detail = f"skipped: hypothesis not met: {skip}"
-            out.append(
-                ReportLine(
-                    "transform",
-                    "F(f) = +inf outside the simplex, with a ray",
-                    f"f={fname} Q={qname}",
-                    ok,
-                    xf,
-                    detail,
-                )
-            )
+                ok, detail = True, _skip(f"hypothesis not met: {skip}")
+            yield "F(f) = +inf outside the simplex, with a ray", f"f={fname} Q={qname}", ok, detail
 
 
-def _suite_isotone(inst, seed, out):
-    xf = "isotone" in inst.expect_fail
-    sample = sample_simplex_measures(inst.space, 20, seed)
-    finite = _finite_functions(inst)
-    for fname, f in finite:
-        for gname, g in finite:
-            if fname == gname:
-                continue
-            rep = check_isotone(f, g, sample)
-            out.append(
-                ReportLine(
-                    "isotone",
-                    "f <= g iff T(f) <= T(g)",
-                    f"f={fname} g={gname}",
-                    rep.ok,
-                    xf,
-                    "; ".join(i.detail for i in rep.items if not i.ok),
-                )
-            )
+def _isotone(inst, shared):
+    for fname, f in shared.finite:
+        for gname, g in shared.finite:
+            if fname != gname:
+                rep = check_isotone(f, g, shared.sample)
+                yield "f <= g iff T(f) <= T(g)", f"f={fname} g={gname}", rep.ok, _failures(rep)
 
 
-def _suite_minimize(inst, seed, out):
-    xf = "minimize" in inst.expect_fail
-    for fname, f in sorted(inst.functions.items()):
+def _minimize(inst, shared):
+    for fname, f in shared.functions:
         rep = minimize_equivalence(f)
-        out.append(
-            ReportLine(
-                "minimize",
-                "inf of f = min of T(f) over the simplex; argmins correspond",
-                f"f={fname}",
-                rep.ok,
-                xf,
-                f"inf={rep.inf_value} lift={rep.lift_min} argmin={rep.argmin}",
-            )
+        yield (
+            "inf of f = min of T(f) over the simplex; argmins correspond",
+            f"f={fname}",
+            rep.ok,
+            f"inf={rep.inf_value} lift={rep.lift_min} argmin={rep.argmin}",
         )
 
 
-def _suite_delta(inst, seed, out):
-    xf = "delta" in inst.expect_fail
-    sample = sample_simplex_measures(inst.space, 20, seed)
+def _delta(inst, shared):
+    in_sample = [Q for _, Q in sorted(inst.measures.items()) if in_simplex(Q)]
     for aname, A in sorted(inst.delta_sets.items()):
         f = delta_set_to_function(A)
-        back = function_to_delta_set(f)
-        out.append(
-            ReportLine(
-                "delta",
-                "delta set <-> bound function round trip is the identity",
-                f"A={aname}",
-                back == A,
-                xf,
-            )
+        yield (
+            "delta set <-> bound function round trip is the identity",
+            f"A={aname}",
+            function_to_delta_set(f) == A,
+            "",
         )
-        bad = []
-        for Q in list(sample) + [
-            Q for _, Q in sorted(inst.measures.items()) if in_simplex(Q)
-        ]:
-            lhs = support_function(A, Q).value
-            rhs = fenchel_transform(f, full_class(), Q).value
-            if lhs != rhs:
-                bad.append(f"Q={Q.label}")
-        out.append(
-            ReportLine(
-                "delta",
-                "support function of the set equals F of its bound function",
-                f"A={aname}",
-                not bad,
-                xf,
-                "; ".join(bad),
-            )
+        detail = _support_mismatches(A, f, full_class(), shared.sample + in_sample)
+        yield (
+            "support function of the set equals F of its bound function",
+            f"A={aname}",
+            not detail,
+            detail,
         )
 
 
-_SUITE_FUNCS = {
-    "biconjugation": _suite_biconjugation,
-    "infconv": _suite_infconv,
-    "minimax": _suite_minimax,
-    "transform": _suite_transform,
-    "isotone": _suite_isotone,
-    "minimize": _suite_minimize,
-    "delta": _suite_delta,
+# suite -> its checks, in report order
+_CHECKS = {
+    "biconjugation": (_biconjugation,),
+    "infconv": (_infconv,),
+    "minimax": (_minimax,),
+    "transform": (
+        _constant_transform,
+        _translation,
+        _cone_morphism,
+        _minorant_support,
+        _off_simplex,
+    ),
+    "isotone": (_isotone,),
+    "minimize": (_minimize,),
+    "delta": (_delta,),
+}
+SUITES = (*_CHECKS, "all")
+
+# The class gate: check -> (identity, does it hold for the class?, the
+# reason it does not).  On a class it does not hold for, the identity
+# gives one skipped line.
+_FULL_ONLY = (lambda fclass: fclass.kind == FULL, "identity is stated for the full class")
+_CLASS_GATES = {
+    _infconv: (_INFCONV, *_FULL_ONLY),
+    _minimax: (_MINIMAX, *_FULL_ONLY),
 }
 
 
 def run_suite(inst: Instance, suite: str, seed: int = 0) -> Report:
     if suite not in SUITES:
         raise InstanceError(f"unknown suite {suite!r}; choose from {SUITES}")
-    names = list(_SUITE_FUNCS) if suite == "all" else [suite]
-    out: list = []
-    for name in names:
-        _SUITE_FUNCS[name](inst, seed, out)
+    shared = _Shared(inst, seed)
+    out = []
+    for name in _CHECKS if suite == "all" else (suite,):
+        xf = name in inst.expect_fail
+        for check in _CHECKS[name]:
+            gate = _CLASS_GATES.get(check)
+            if gate is None or gate[1](inst.fclass):
+                lines = check(inst, shared)
+            else:
+                lines = [(gate[0], f"class {inst.fclass.kind}", True, _skip(gate[2]))]
+            for identity, subject, passed, detail in lines:
+                out.append(ReportLine(name, identity, subject, passed, xf, detail))
     return Report(tuple(out), seed)
 
 
@@ -698,17 +625,8 @@ def main(argv=None) -> int:
             doc = {
                 "seed": report.seed,
                 "ok": report.ok,
-                "lines": [
-                    {
-                        "suite": l.suite,
-                        "identity": l.identity,
-                        "subject": l.subject,
-                        "passed": l.passed,
-                        "expected_fail": l.expected_fail,
-                        "detail": l.detail,
-                    }
-                    for l in report.lines
-                ],
+                # vars() keys come in field order
+                "lines": [dict(vars(l)) for l in report.lines],
             }
             print(json.dumps(doc, indent=2))
         else:
