@@ -297,6 +297,8 @@ class _Shared:
 
 _INFCONV = "(f+g)^x = f^x <> g^x"
 _MINIMAX = "f^x(xi) = inf over phi <= f of phi^x(xi)"
+_CONE_MORPHISM = "T(af+bg) = aT(f) + bT(g)"
+_MINORANT_SUPPORT = "support function of the minorant set equals F(f)"
 
 
 def _biconjugation(inst, shared):
@@ -361,22 +363,18 @@ def _translation(inst, shared):
 
 
 def _cone_morphism(inst, shared):
-    if inst.fclass.kind != FULL:
-        return
     for fname, f in shared.finite:
         for gname, g in shared.finite:
             rep = check_cone_morphism(f, g, 1, 1, shared.sample)
             subject = f"f={fname} g={gname} a=1 b=1"
-            yield "T(af+bg) = aT(f) + bT(g)", subject, rep.ok, _failures(rep)
+            yield _CONE_MORPHISM, subject, rep.ok, _failures(rep)
 
 
 def _minorant_support(inst, shared):
-    if inst.fclass.kind != FULL:
-        return
     for fname, f in shared.finite:
         A = function_to_delta_set(f)
         detail = _support_mismatches(A, f, inst.fclass, shared.sample)
-        yield "support function of the minorant set equals F(f)", f"f={fname}", not detail, detail
+        yield _MINORANT_SUPPORT, f"f={fname}", not detail, detail
 
 
 def _off_simplex(inst, shared):
@@ -463,6 +461,8 @@ _FULL_ONLY = (lambda fclass: fclass.kind == FULL, "identity is stated for the fu
 _CLASS_GATES = {
     _infconv: (_INFCONV, *_FULL_ONLY),
     _minimax: (_MINIMAX, *_FULL_ONLY),
+    _cone_morphism: (_CONE_MORPHISM, *_FULL_ONLY),
+    _minorant_support: (_MINORANT_SUPPORT, *_FULL_ONLY),
 }
 
 

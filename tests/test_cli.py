@@ -225,6 +225,29 @@ class TestSuites:
         for line in lines:
             assert line.passed and line.detail == "got +inf"
 
+    FULL_CLASS_ONLY = (
+        ("infconv", "(f+g)^x = f^x <> g^x"),
+        ("minimax", "f^x(xi) = inf over phi <= f of phi^x(xi)"),
+        ("transform", "T(af+bg) = aT(f) + bT(g)"),
+        ("transform", "support function of the minorant set equals F(f)"),
+    )
+
+    @pytest.mark.parametrize("name", ["two_point_full", "lipschitz_hats", "finite_cone_gap"])
+    def test_full_class_identities_skip_once_on_other_classes(self, name):
+        inst = load_instance(str(INSTANCES / f"{name}.json"))
+        report = run_suite(inst, "all", seed=5)
+        for suite, identity in self.FULL_CLASS_ONLY:
+            lines = [l for l in report.lines if l.identity == identity]
+            assert lines and all(l.suite == suite for l in lines)
+            if inst.fclass.kind == "full":
+                assert not any(l.skipped for l in lines)
+            else:
+                (line,) = lines
+                assert line.subject == f"class {inst.fclass.kind}" and line.passed
+                assert line.detail == "skipped: identity is stated for the full class"
+                assert line.render().startswith("[SKIP]")
+        assert report.ok == all(l.passed for l in report.lines if not l.skipped)
+
     def test_report_lines_render_pass(self):
         line = ReportLine("minimize", "id", "f=f", True, False)
         assert line.render().startswith("[PASS]")
