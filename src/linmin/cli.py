@@ -5,6 +5,11 @@ Instance files are JSON with exact rationals written as strings ("1/2",
 deterministic for a fixed (instance, seed, command line) and every line
 names the identity it checks.  Exit codes: 0 all-pass, 1 identity
 failure, 2 input error.
+
+Each suite is a tuple of checks, generators of (identity, subject, passed,
+detail) tuples, and run_suite is the one loop that turns them into report
+lines.  An identity stated for another class than the instance's is
+gated by one table and gives one skipped line.
 """
 
 from __future__ import annotations
@@ -276,8 +281,7 @@ class _Shared:
     single-suite run pays only for what its suite reads."""
 
     def __init__(self, inst, seed):
-        self.inst = inst
-        self.seed = seed
+        self.inst, self.seed = inst, seed
 
     @functools.cached_property
     def functions(self):
@@ -291,9 +295,6 @@ class _Shared:
     def sample(self):
         return sample_simplex_measures(self.inst.space, 20, self.seed)
 
-
-# Each check is a generator of report lines, as (identity, subject, passed,
-# detail) tuples.
 
 _INFCONV = "(f+g)^x = f^x <> g^x"
 _MINIMAX = "f^x(xi) = inf over phi <= f of phi^x(xi)"
@@ -322,10 +323,9 @@ def _biconjugation(inst, shared):
 
 
 def _infconv(inst, shared):
-    finite = shared.finite
-    for fname, f in finite:
-        for gname, g in finite:
-            for tname, th in finite:
+    for fname, f in shared.finite:
+        for gname, g in shared.finite:
+            for tname, th in shared.finite:
                 rep = check_infconv_theorem(f, g, th)
                 detail = f"infconv={rep.infconv} direct={rep.direct}"
                 yield _INFCONV, f"f={fname} g={gname} theta={tname}", rep.ok, detail
@@ -395,7 +395,8 @@ def _off_simplex(inst, shared):
                 ok, detail = not tv.finite and tv.ray is not None, f"got {_fmt(tv.value)}"
             else:
                 ok, detail = True, _skip(f"hypothesis not met: {skip}")
-            yield "F(f) = +inf outside the simplex, with a ray", f"f={fname} Q={qname}", ok, detail
+            subject = f"f={fname} Q={qname}"
+            yield "F(f) = +inf outside the simplex, with a ray", subject, ok, detail
 
 
 def _isotone(inst, shared):
@@ -418,7 +419,7 @@ def _minimize(inst, shared):
 
 
 def _delta(inst, shared):
-    in_sample = [Q for _, Q in sorted(inst.measures.items()) if in_simplex(Q)]
+    on_simplex = [Q for _, Q in sorted(inst.measures.items()) if in_simplex(Q)]
     for aname, A in sorted(inst.delta_sets.items()):
         f = delta_set_to_function(A)
         yield (
@@ -427,7 +428,7 @@ def _delta(inst, shared):
             function_to_delta_set(f) == A,
             "",
         )
-        detail = _support_mismatches(A, f, full_class(), shared.sample + in_sample)
+        detail = _support_mismatches(A, f, full_class(), shared.sample + on_simplex)
         yield (
             "support function of the set equals F of its bound function",
             f"A={aname}",
@@ -475,10 +476,11 @@ def run_suite(inst: Instance, suite: str, seed: int = 0) -> Report:
         xf = name in inst.expect_fail
         for check in _CHECKS[name]:
             gate = _CLASS_GATES.get(check)
-            if gate is None or gate[1](inst.fclass):
-                lines = check(inst, shared)
+            if gate and not gate[1](inst.fclass):
+                identity, _, reason = gate
+                lines = [(identity, f"class {inst.fclass.kind}", True, _skip(reason))]
             else:
-                lines = [(gate[0], f"class {inst.fclass.kind}", True, _skip(gate[2]))]
+                lines = check(inst, shared)
             for identity, subject, passed, detail in lines:
                 out.append(ReportLine(name, identity, subject, passed, xf, detail))
     return Report(tuple(out), seed)
