@@ -441,8 +441,8 @@ def _corpus_value(rng):
     return F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7, 12]))
 
 
-def _corpus_program(rng, shape):
-    n, k = rng.randint(3, 7), rng.randint(2, 6)
+def _corpus_program(rng, shape, n_range=(3, 7), k_range=(2, 6)):
+    n, k = rng.randint(*n_range), rng.randint(*k_range)
     gens = [[_corpus_value(rng) for _ in range(n)] for _ in range(k)]
     if rng.random() < 0.5:
         gens += [[F(1)] * n, [F(-1)] * n]
@@ -493,17 +493,36 @@ def _canonical(res):
     return "I"
 
 
-def _corpus_lines():
-    rng = random.Random(20240611)
-    return [_canonical(solve(_corpus_program(rng, i % 4))) for i in range(CORPUS_SIZE)]
+def _corpus_lines(seed, size, **sizes):
+    rng = random.Random(seed)
+    return [_canonical(solve(_corpus_program(rng, i % 4, **sizes))) for i in range(size)]
+
+
+def _corpus_digest(lines):
+    kinds = {line[0] for line in lines}
+    assert kinds == {"O", "U", "I"}
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def test_finite_cone_corpus_results_are_pinned():
-    lines = _corpus_lines()
-    kinds = {line[0] for line in lines}
-    assert kinds == {"O", "U", "I"}
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == CORPUS_SHA256
+    lines = _corpus_lines(20240611, CORPUS_SIZE)
+    assert _corpus_digest(lines) == CORPUS_SHA256
+
+
+# The same shapes at the sizes of the benchmark's finite cones: n = 10..24
+# points and k = 6..10 generators, plus the constants on half of them.  Their
+# tableau entries grow past one machine word, which the small corpus above
+# seldom reaches, so this pins the kernel where its row reductions matter.
+# The digest was taken from the kernel that reduced every row it touched.
+LARGE_CORPUS_SIZE = 300
+LARGE_CORPUS_SHA256 = "a4bdcb375aea74970533246ae1e58d9308cc94e61150e510c33c89faf8b91bce"
+
+
+def test_large_finite_cone_corpus_results_are_pinned():
+    lines = _corpus_lines(
+        20261019, LARGE_CORPUS_SIZE, n_range=(10, 24), k_range=(6, 10)
+    )
+    assert _corpus_digest(lines) == LARGE_CORPUS_SHA256
 
 
 # --- many objectives over one polyhedron -----------------------------------
