@@ -13,12 +13,18 @@ denominator of the pivot row R, its sign made positive.  Every other row
 A with a nonzero entry f in the pivot column becomes d*A - f*R over d*D,
 where d is R's denominator, D is A's, and d and f are first divided by
 their gcd; when that leaves d = 1 only the nonzeros of R are subtracted.
-Rows with a zero in the pivot column are not touched.  Each row touched
-is reduced by one gcd over its denominator and entries, in place of a gcd
-per entry.
+Rows with a zero in the pivot column are not touched.  Rows are reduced by
+one gcd over the denominator and entries, and only where it pays: the pivot
+row always, since its entry is every other row's multiplier, and a row that
+d*A - f*R rebuilt once its denominator outgrows a machine word.  A row the
+d = 1 path updated keeps its denominator and is left alone.  A row's common
+factor never changes the rational it stands for, and Fractions are built
+only for results, in lowest terms, so skipping a reduction changes no
+value, point or ray.
 
 Bland's entering rule reads the sign of an int and the ratio test compares
-rhs/a by cross-multiplying ints, with the same tie-break, so the pivot
+rhs/a by cross-multiplying ints, with the same tie-break.  Signs, zero tests
+and those cross-products do not see a row's positive scale, so the pivot
 order is the one exact rational pivots take and every entry is the same
 rational.  Fractions are made only to report the result.
 
@@ -109,10 +115,27 @@ def _nonzeros(row):
 
 
 def _scaled(values):
-    """The values as ints over one positive common denominator: (ints, lcm)."""
-    qs = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values]
-    den = lcm(*[q.denominator for q in qs])
-    return [q.numerator * (den // q.denominator) for q in qs], den
+    """The values as ints over one positive common denominator: (ints, lcm).
+
+    Only ints and Fractions are exact; a float, a bool or a string raises
+    ValueError rather than being read as some nearby rational."""
+    pairs = []
+    for v in values:
+        if type(v) is int:
+            pairs.append((v, 1))
+        elif isinstance(v, Fraction):
+            pairs.append(v.as_integer_ratio())
+        else:
+            raise ValueError(f"an LP coefficient must be an int or a Fraction, not {v!r}")
+    den = lcm(*[d for _, d in pairs])
+    return [p * (den // d) for p, d in pairs], den
+
+
+# A rebuilt row is reduced only once its denominator passes this many bits.
+# Ints within a machine word or two multiply about as fast as small ones,
+# while a gcd over the whole row costs about as much as the update itself,
+# so reducing small rows costs more than their smaller entries save.
+_REDUCE_BITS = 62
 
 
 def _reduce(T, D, i):
@@ -156,7 +179,8 @@ def _pivot(T, D, basis, row, col):
                 else:
                     T[i] = [a * v - f * b for v, b in zip(Ti, prow)]
                     D[i] *= a
-                _reduce(T, D, i)
+                    if D[i].bit_length() > _REDUCE_BITS:
+                        _reduce(T, D, i)
     basis[row] = col
 
 

@@ -66,6 +66,15 @@ def test_dimension_mismatch_rejected():
         make_lp([1, 1], [((1,), LE, 0)], nonneg=[True, True])
 
 
+@pytest.mark.parametrize("scalar", [0.1, True, "1/2"])
+def test_non_exact_scalars_rejected(scalar):
+    # 0.1 used to come back as 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match=repr(scalar)):
+        solve(make_lp([1], [((1,), LE, scalar)], nonneg=[True]))
+    with pytest.raises(ValueError, match=repr(scalar)):
+        solve(make_lp([scalar], [((1,), LE, 1)], nonneg=[True]))
+
+
 def test_deterministic_repeat():
     lp = make_lp(
         [3, -1, 2],
