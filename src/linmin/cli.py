@@ -208,8 +208,10 @@ def load_instance(path) -> Instance:
 
     expect_fail = tuple(_typed(doc, "expect_fail", list, ()))
     for s in expect_fail:
-        if s not in SUITES:
-            raise InstanceError(f"field 'expect_fail': unknown suite {s!r}")
+        if s not in _CHECKS:
+            raise InstanceError(
+                f"field 'expect_fail': unknown suite {s!r}; choose from {tuple(_CHECKS)}"
+            )
     return Instance(space, fclass, functions, measures, delta_sets, expect_fail)
 
 

@@ -112,6 +112,13 @@ class TestLoadInstance:
         with pytest.raises(InstanceError, match="unknown suite"):
             load_instance(write(tmp_path, doc))
 
+    def test_expect_fail_all_is_not_a_suite(self, tmp_path):
+        # "all" selects suites to run; it names no suite whose lines can be marked
+        doc = dict(BASE, expect_fail=["all"])
+        with pytest.raises(InstanceError, match="unknown suite 'all'") as err:
+            load_instance(write(tmp_path, doc))
+        assert "'biconjugation'" in str(err.value) and "'delta')" in str(err.value)
+
     def test_all_domain_empty(self, tmp_path):
         doc = dict(BASE, functions={"f": ["+inf", "+inf"]})
         with pytest.raises(InstanceError, match="functions\\[f\\]"):
