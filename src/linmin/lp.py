@@ -7,26 +7,26 @@ public API speaks Fraction.
 
 The tableau is fraction-free: each row is a list of Python ints with one
 positive int denominator, so entry j of row i is T[i][j] / D[i].  An input
-row is scaled to integers once, by the lcm of its denominators, and so are
-the phase-1 and phase-2 cost rows.  A pivot makes the pivot entry the
-denominator of the pivot row R, its sign made positive.  Every other row
-A with a nonzero entry f in the pivot column becomes d*A - f*R over d*D,
-where d is R's denominator, D is A's, and d and f are first divided by
-their gcd; when that leaves d = 1 only the nonzeros of R are subtracted.
-Rows with a zero in the pivot column are not touched.  Rows are reduced by
-one gcd over the denominator and entries, and only where it pays: the pivot
-row always, since its entry is every other row's multiplier, and a row that
-d*A - f*R rebuilt once its denominator outgrows a machine word.  A row the
-d = 1 path updated keeps its denominator and is left alone.  A row's common
-factor never changes the rational it stands for, and Fractions are built
-only for results, in lowest terms, so skipping a reduction changes no
-value, point or ray.
+row, whose scalars must be ints or Fractions, is scaled to integers once,
+by the lcm of its denominators, and so are the phase-1 and phase-2 cost
+rows.  A pivot makes the pivot entry the denominator of the pivot row R,
+its sign made positive.  Every other row A with a nonzero entry f in the
+pivot column becomes d*A - f*R over d*D, where d is R's denominator, D is
+A's, and d and f are first divided by their gcd; when that leaves d = 1
+only the nonzeros of R are subtracted.  Rows with a zero in the pivot
+column are not touched.  A row is reduced by one gcd over its denominator
+and entries only where that pays: the pivot row always, since its entry is
+every other row's multiplier, and a row that d*A - f*R rebuilt once its
+denominator passes _REDUCE_BITS bits.  A row the d = 1 path updated keeps
+its denominator and is left alone.  A common factor left in a row never
+changes the rationals it stands for.
 
 Bland's entering rule reads the sign of an int and the ratio test compares
 rhs/a by cross-multiplying ints, with the same tie-break.  Signs, zero tests
 and those cross-products do not see a row's positive scale, so the pivot
 order is the one exact rational pivots take and every entry is the same
-rational.  Fractions are made only to report the result.
+rational.  Fractions are made only to report the result, so every value,
+point and ray is the same, in lowest terms, however far rows were reduced.
 
 Artificial variables are basis labels, not columns.  A >= or = row starts
 with an artificial basic variable, labelled N, N+1, ... where N counts the
