@@ -68,7 +68,7 @@ def test_dimension_mismatch_rejected():
 
 @pytest.mark.parametrize("scalar", [0.1, True, "1/2"])
 def test_non_exact_scalars_rejected(scalar):
-    # 0.1 used to come back as 3602879701896397/36028797018963968
+    # a float would be read as its binary value, 0.1 as 3602879701896397/2**55
     with pytest.raises(ValueError, match=repr(scalar)):
         solve(make_lp([1], [((1,), LE, scalar)], nonneg=[True]))
     with pytest.raises(ValueError, match=repr(scalar)):
